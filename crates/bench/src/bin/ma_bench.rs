@@ -19,11 +19,11 @@
 use microblog_analyzer::prelude::*;
 use microblog_analyzer::walker::srw::{self, SrwConfig};
 use microblog_analyzer::{CheckpointCtl, CheckpointSink, WalkerCheckpoint};
+use microblog_api::RetryPolicy;
 use microblog_api::{CachingClient, InflightPolicy, MicroblogClient, QueryBudget};
+use microblog_obs::Tracer;
 use microblog_platform::scenario::{twitter_2013, Scale, Scenario};
-use microblog_platform::{
-    ApiBackend, Duration, Fault, KeywordId, Platform, PostId, TimeWindow, UserId,
-};
+use microblog_platform::{Duration, SlowBackend};
 use microblog_service::{
     JobSpec, Journal, JournalRecord, Service, ServiceConfig, TelemetryClock, TelemetryMode,
 };
@@ -37,46 +37,15 @@ use std::time::Instant;
 const WORLD_SEED: u64 = 2014;
 
 /// Simulated network round-trip per platform fetch in the service
-/// scenarios. The in-memory store answers in microseconds — no real
-/// microblog API does — so without a realistic in-flight window,
-/// concurrent misses would never overlap and coalescing (or its
-/// absence) would be invisible. 1ms keeps the full run under a few
-/// seconds while dwarfing scheduler jitter.
-const SIMULATED_RTT: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// [`ApiBackend`] wrapper stalling every fetch by a fixed round-trip
-/// time. The stall is a wall-clock sleep — the bench crate is exempt
-/// from the wall-clock lint, and the charged/logical accounting never
-/// sees it. Only the fetch itself is slow; cache hits stay instant.
-/// Concurrent fetches stall independently (one sleeping thread each),
-/// so a pipeline that keeps N fetches in flight completes them in ~one
-/// RTT — the completion model the fetch scheduler is built against.
-#[derive(Debug)]
-struct SlowBackend {
-    inner: Arc<Platform>,
-    rtt: std::time::Duration,
-}
-
-impl ApiBackend for SlowBackend {
-    fn store(&self) -> &Platform {
-        &self.inner
-    }
-
-    fn fetch_search(&self, kw: KeywordId, window: TimeWindow) -> Result<Vec<PostId>, Fault> {
-        std::thread::sleep(self.rtt);
-        self.inner.fetch_search(kw, window)
-    }
-
-    fn fetch_timeline(&self, u: UserId) -> Result<&[PostId], Fault> {
-        std::thread::sleep(self.rtt);
-        self.inner.fetch_timeline(u)
-    }
-
-    fn fetch_connections(&self, u: UserId) -> Result<(&[u32], &[u32]), Fault> {
-        std::thread::sleep(self.rtt);
-        self.inner.fetch_connections(u)
-    }
-}
+/// scenarios, in milliseconds. The in-memory store answers in
+/// microseconds — no real microblog API does — so without a realistic
+/// in-flight window, concurrent misses would never overlap and
+/// coalescing (or its absence) would be invisible. 1ms keeps the full
+/// run under a few seconds while dwarfing scheduler jitter. The stall is
+/// [`SlowBackend`]'s: concurrent fetches stall independently, so a
+/// pipeline that keeps N fetches in flight completes them in ~one RTT —
+/// the completion model the fetch scheduler is built against.
+const SIMULATED_RTT_MS: u64 = 1;
 
 /// Current BENCH_10.json schema version. v4 added the fetch-pipeline
 /// matrix (RTT × pipeline cold QPS, inflight-depth/announce-batch
@@ -323,10 +292,7 @@ fn run_cold(scenario: &Scenario, params: &PerfParams, coalesce: bool) -> (Servic
         ServiceConfig {
             workers: params.workers,
             coalesce,
-            backend: Some(Arc::new(SlowBackend {
-                inner: platform,
-                rtt: SIMULATED_RTT,
-            })),
+            backend: Some(Arc::new(SlowBackend::new(platform, SIMULATED_RTT_MS))),
             ..ServiceConfig::default()
         },
     );
@@ -444,25 +410,34 @@ fn walker_rate_at_cadence(scenario: &Scenario, steps: usize, trials: usize, ever
     let clock = Arc::new(TelemetryClock::new(TelemetryMode::Logical));
     let (journal, _) = Journal::open(&dir, clock).expect("scratch journal opens");
     let sink = JournalSink { journal };
+    // An unlimited budget and the step cap make the walk perform exactly
+    // `steps` transitions, like `walker_steps_per_sec`.
+    let analyzer =
+        MicroblogAnalyzer::new(&scenario.platform, ApiProfile::twitter()).with_step_cap(steps);
+    let algorithm = Algorithm::MaSrw {
+        interval: Some(Duration::DAY),
+    };
     let mut best = 0.0f64;
     for trial in 0..trials.max(1) {
-        let mut client = CachingClient::new(MicroblogClient::with_budget(
-            &scenario.platform,
-            ApiProfile::twitter(),
-            QueryBudget::unlimited(),
-        ));
-        let mut rng = ChaCha8Rng::seed_from_u64(7 + trial as u64);
-        let mut cfg = SrwConfig::new(ViewKind::level(Duration::DAY));
-        cfg.max_steps = steps;
         let mut ctl = if every > 0 {
             CheckpointCtl::new(every, &sink)
         } else {
             CheckpointCtl::disabled()
         };
-        ctl.set_job("srw", 7 + trial as u64);
         let start = Instant::now();
-        let est = srw::estimate_recoverable(&mut client, &query, &cfg, &mut rng, &mut ctl, None);
+        let report = analyzer.run_recoverable(
+            &query,
+            u64::MAX,
+            algorithm,
+            7 + trial as u64,
+            None,
+            &RetryPolicy::none(),
+            Tracer::disabled(),
+            &mut ctl,
+            None,
+        );
         let rate = steps as f64 / start.elapsed().as_secs_f64();
+        let est = report.outcome;
         assert!(est.is_ok(), "cadence measurement run failed: {est:?}");
         best = best.max(rate);
     }
@@ -491,16 +466,20 @@ fn cold_recovery(scenario: &Scenario, params: &PerfParams, jobs: usize) -> ColdR
     // run the service would execute for this spec (seed 1, limited
     // budget, level-day view).
     let capture = CaptureFirst(Mutex::new(None));
-    let mut client = CachingClient::new(MicroblogClient::with_budget(
-        &scenario.platform,
-        ApiProfile::twitter(),
-        QueryBudget::limited(params.budget),
-    ));
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let cfg = SrwConfig::new(ViewKind::level(Duration::DAY));
     let mut ctl = CheckpointCtl::new(100, &capture);
-    ctl.set_job(algorithm.name(), 1);
-    let est = srw::estimate_recoverable(&mut client, &query, &cfg, &mut rng, &mut ctl, None);
+    let est = MicroblogAnalyzer::new(&scenario.platform, ApiProfile::twitter())
+        .run_recoverable(
+            &query,
+            params.budget,
+            algorithm,
+            1,
+            None,
+            &RetryPolicy::none(),
+            Tracer::disabled(),
+            &mut ctl,
+            None,
+        )
+        .outcome;
     assert!(est.is_ok(), "checkpoint capture run failed: {est:?}");
     let checkpoint = capture
         .0
@@ -603,10 +582,7 @@ fn run_pipeline_cell(
             // free-spin over an already-memoized neighborhood.
             coalesce: false,
             step_cap: Some(params.pipeline_step_cap),
-            backend: Some(Arc::new(SlowBackend {
-                inner: platform,
-                rtt: std::time::Duration::from_millis(rtt_ms),
-            })),
+            backend: Some(Arc::new(SlowBackend::new(platform, rtt_ms))),
             ..ServiceConfig::default()
         },
     );
@@ -763,7 +739,7 @@ fn run_perf(params: &PerfParams, scenario: &Scenario) -> String {
     put("workers", params.workers.to_string());
     put("jobs", jobs.to_string());
     put("budget_per_job", params.budget.to_string());
-    put("simulated_rtt_ms", SIMULATED_RTT.as_millis().to_string());
+    put("simulated_rtt_ms", SIMULATED_RTT_MS.to_string());
     put(
         "queries_per_sec_cold",
         format!("{:.3}", jobs as f64 / cold.elapsed_secs),

@@ -9,7 +9,7 @@ use crate::error::EstimateError;
 use crate::estimate::Estimate;
 use crate::query::AggregateQuery;
 use crate::view::ViewKind;
-use crate::walker::{mhrw, mr, multi, snowball, srw, tarw};
+use crate::walker::{drive, mhrw, mr, multi, snowball, srw, tarw};
 use microblog_api::cache::{CacheLayer, CacheStats};
 use microblog_api::{
     ApiProfile, CachingClient, MicroblogClient, PrefetchSink, QueryBudget, ResilienceStats,
@@ -339,111 +339,33 @@ impl<'p> MicroblogAnalyzer<'p> {
             })(),
             None => Ok((ChaCha8Rng::seed_from_u64(seed), None)),
         };
-        let result = match setup {
-            Err(e) => Err(e),
-            Ok((mut rng, state)) => match algorithm {
-                Algorithm::SrwFullGraph => {
-                    let cfg = srw::SrwConfig::new(ViewKind::FullGraph);
-                    run_srw(
-                        &mut client,
-                        query,
-                        &cfg,
-                        self.chains,
-                        self.step_cap,
-                        seed,
-                        &mut rng,
-                        ctl,
-                        state,
-                    )
-                }
-                Algorithm::SrwTermInduced => {
-                    let cfg = srw::SrwConfig::new(ViewKind::TermInduced);
-                    run_srw(
-                        &mut client,
-                        query,
-                        &cfg,
-                        self.chains,
-                        self.step_cap,
-                        seed,
-                        &mut rng,
-                        ctl,
-                        state,
-                    )
-                }
-                Algorithm::MaSrw { interval } => {
-                    let t = interval.unwrap_or(Duration::DAY);
-                    let cfg = srw::SrwConfig::new(ViewKind::level(t));
-                    run_srw(
-                        &mut client,
-                        query,
-                        &cfg,
-                        self.chains,
-                        self.step_cap,
-                        seed,
-                        &mut rng,
-                        ctl,
-                        state,
-                    )
-                }
+        // Build the algorithm's sampler — resuming from the checkpoint's
+        // state, which the sampler checks is its own — and drive it.
+        let result = setup.and_then(|(mut rng, state)| {
+            let rng = &mut rng;
+            let view = match algorithm {
+                Algorithm::SrwFullGraph => ViewKind::FullGraph,
+                Algorithm::SrwTermInduced => ViewKind::TermInduced,
+                Algorithm::MaSrw { interval } => ViewKind::level(interval.unwrap_or(Duration::DAY)),
+                Algorithm::SrwView { view } => view,
                 Algorithm::MaTarw { interval } => {
                     let cfg = tarw::TarwConfig {
                         interval,
                         ..Default::default()
                     };
-                    tarw::estimate_recoverable(&mut client, query, &cfg, &mut rng, ctl, state)
+                    return drive(tarw::Tarw::new(&mut client, query, &cfg, state)?, rng, ctl);
                 }
                 Algorithm::MarkRecapture { view } => {
                     let cfg = mr::MrConfig::new(view);
-                    match state {
-                        None => {
-                            mr::estimate_recoverable(&mut client, query, &cfg, &mut rng, ctl, None)
-                        }
-                        Some(SamplerState::Srw(s)) => mr::estimate_recoverable(
-                            &mut client,
-                            query,
-                            &cfg,
-                            &mut rng,
-                            ctl,
-                            Some(s),
-                        ),
-                        Some(_) => Err(mismatch()),
-                    }
-                }
-                Algorithm::SrwView { view } => {
-                    let cfg = srw::SrwConfig::new(view);
-                    run_srw(
-                        &mut client,
-                        query,
-                        &cfg,
-                        self.chains,
-                        self.step_cap,
-                        seed,
-                        &mut rng,
-                        ctl,
-                        state,
-                    )
+                    return drive(mr::sampler(&mut client, query, &cfg, rng, state)?, rng, ctl);
                 }
                 Algorithm::Mhrw { view } => {
                     let cfg = mhrw::MhrwConfig::new(view);
-                    match state {
-                        None => mhrw::estimate_recoverable(
-                            &mut client,
-                            query,
-                            &cfg,
-                            &mut rng,
-                            ctl,
-                            None,
-                        ),
-                        Some(SamplerState::Mhrw(s)) => mhrw::estimate_recoverable(
-                            &mut client,
-                            query,
-                            &cfg,
-                            &mut rng,
-                            ctl,
-                            Some(s),
-                        ),
-                        Some(_) => Err(mismatch()),
-                    }
+                    return drive(
+                        mhrw::Mhrw::new(&mut client, query, &cfg, rng, state)?,
+                        rng,
+                        ctl,
+                    );
                 }
                 Algorithm::Snowball { view, order } => {
                     let cfg = snowball::SnowballConfig {
@@ -451,28 +373,36 @@ impl<'p> MicroblogAnalyzer<'p> {
                         order,
                         max_nodes: usize::MAX,
                     };
-                    match state {
-                        None => snowball::estimate_recoverable(
-                            &mut client,
-                            query,
-                            &cfg,
-                            &mut rng,
-                            ctl,
-                            None,
-                        ),
-                        Some(SamplerState::Snowball(s)) => snowball::estimate_recoverable(
-                            &mut client,
-                            query,
-                            &cfg,
-                            &mut rng,
-                            ctl,
-                            Some(s),
-                        ),
-                        Some(_) => Err(mismatch()),
-                    }
+                    let sampler = snowball::Snowball::new(&mut client, query, &cfg, rng, state)?;
+                    return drive(sampler, rng, ctl);
                 }
-            },
-        };
+            };
+            // The SRW family: the step cap clamps each chain, and with
+            // `chains > 1` the interleaved executor runs (and resumes)
+            // instead of the solo walk — their checkpoint variants differ,
+            // so a job must keep its chain count across crash/resume.
+            let mut cfg = srw::SrwConfig::new(view);
+            if let Some(cap) = self.step_cap {
+                cfg.max_steps = cfg.max_steps.min(cap);
+            }
+            if self.chains > 1 {
+                let cfg = multi::MultiSrwConfig {
+                    srw: cfg,
+                    chains: self.chains,
+                };
+                drive(
+                    multi::MultiSrw::new(&mut client, query, &cfg, seed, state)?,
+                    rng,
+                    ctl,
+                )
+            } else {
+                drive(
+                    srw::Srw::new(&mut client, query, &cfg, rng, state)?,
+                    rng,
+                    ctl,
+                )
+            }
+        });
         let cache = *client.cache_stats();
         let resilience = client.resilience().clone();
         let degraded = resilience.degraded() && result.is_ok();
@@ -508,50 +438,6 @@ impl<'p> MicroblogAnalyzer<'p> {
     pub fn ground_truth(&self, query: &AggregateQuery) -> Option<f64> {
         query.ground_truth(self.backend.store())
     }
-}
-
-/// Dispatches an SRW-family run, matching the checkpoint variant. With
-/// `chains > 1` the interleaved multi-chain executor runs (and resumes)
-/// instead of the solo walker — the checkpoint variants differ, so a job
-/// must keep its chain count across crash/resume.
-#[allow(clippy::too_many_arguments)]
-fn run_srw(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    cfg: &srw::SrwConfig,
-    chains: usize,
-    step_cap: Option<usize>,
-    seed: u64,
-    rng: &mut ChaCha8Rng,
-    ctl: &mut CheckpointCtl<'_>,
-    state: Option<&SamplerState>,
-) -> Result<Estimate, EstimateError> {
-    let mut cfg = *cfg;
-    if let Some(cap) = step_cap {
-        cfg.max_steps = cfg.max_steps.min(cap);
-    }
-    let cfg = &cfg;
-    if chains > 1 {
-        let mcfg = multi::MultiSrwConfig { srw: *cfg, chains };
-        return match state {
-            None => multi::estimate_recoverable(client, query, &mcfg, seed, rng, ctl, None),
-            Some(SamplerState::MultiSrw(s)) => {
-                multi::estimate_recoverable(client, query, &mcfg, seed, rng, ctl, Some(s))
-            }
-            Some(_) => Err(mismatch()),
-        };
-    }
-    match state {
-        None => srw::estimate_recoverable(client, query, cfg, rng, ctl, None),
-        Some(SamplerState::Srw(s)) => {
-            srw::estimate_recoverable(client, query, cfg, rng, ctl, Some(s))
-        }
-        Some(_) => Err(mismatch()),
-    }
-}
-
-fn mismatch() -> EstimateError {
-    EstimateError::Unsupported("checkpoint does not match the job's algorithm")
 }
 
 #[cfg(test)]

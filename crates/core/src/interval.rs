@@ -6,28 +6,36 @@
 //! degree), score each candidate with the Eq. (3) closed-form conductance,
 //! and pick the maximum. Only the ranking matters, so the unknown graph
 //! size `n` is fixed to a common reference value across candidates.
+//!
+//! MA-TARW runs the selection as the first phase of its sampler
+//! ([`crate::walker::tarw`]), one candidate per step, so the pilots pass
+//! the same safe points as the walk; [`score_intervals`] runs it straight
+//! through.
 
-use crate::checkpoint::{CheckpointCtl, CheckpointRng, PilotState, SamplerState};
+use crate::checkpoint::{PilotScore, PilotState};
 use crate::error::EstimateError;
 use crate::query::AggregateQuery;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::{ApiError, CachingClient};
 use microblog_graph::conductance::conductance_level;
-use microblog_obs::{Category, FieldValue, WalkPhase};
+use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
 use microblog_platform::{Duration, UserId};
 use rand::Rng;
 
+/// [`candidate_intervals`] as a table the MA-TARW pilot steps index.
+pub(crate) const CANDIDATES: [Duration; 7] = [
+    Duration::hours(2),
+    Duration::hours(4),
+    Duration::hours(12),
+    Duration::DAY,
+    Duration::days(2),
+    Duration::WEEK,
+    Duration::MONTH,
+];
+
 /// The candidate intervals of Figure 5 (2H, 4H, 12H, 1D, 2D, 1W, 1M).
 pub fn candidate_intervals() -> Vec<Duration> {
-    vec![
-        Duration::hours(2),
-        Duration::hours(4),
-        Duration::hours(12),
-        Duration::DAY,
-        Duration::days(2),
-        Duration::WEEK,
-        Duration::MONTH,
-    ]
+    CANDIDATES.to_vec()
 }
 
 /// The outcome of scoring one candidate interval.
@@ -49,91 +57,116 @@ pub struct IntervalScore {
 /// Budget exhaustion mid-pilot is tolerated: candidates already scored are
 /// used, and the current candidate is scored from whatever the partial
 /// pilot saw.
-pub fn score_intervals<R: CheckpointRng>(
+pub fn score_intervals<R: Rng>(
     client: &mut CachingClient<'_>,
     query: &AggregateQuery,
     seeds: &[UserId],
     candidates: &[Duration],
     pilot_steps: usize,
     rng: &mut R,
-) -> Result<Vec<IntervalScore>, EstimateError> {
-    score_intervals_recoverable(
-        client,
-        query,
-        seeds,
-        candidates,
-        pilot_steps,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
-}
-
-/// [`score_intervals`] with checkpointing: a [`SamplerState::Pilot`]
-/// checkpoint is offered before each candidate's pilot walk, and `resume`
-/// skips candidates whose scores the checkpoint already carries (their
-/// pilot walks' RNG draws are reflected in the restored RNG state).
-#[allow(clippy::too_many_arguments)]
-pub fn score_intervals_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    seeds: &[UserId],
-    candidates: &[Duration],
-    pilot_steps: usize,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&PilotState>,
 ) -> Result<Vec<IntervalScore>, EstimateError> {
     if seeds.is_empty() {
         return Err(EstimateError::NoSeeds);
     }
-    let tracer = client.tracer().clone();
-    tracer.set_phase(WalkPhase::Pilot);
-    // Bracket the whole candidate sweep so live telemetry can attribute
-    // wall-to-wall pilot latency to the `pilot` pipeline stage.
-    let pilot_span = tracer.span_start(
-        Category::Walk,
-        "pilot",
-        &[("candidates", FieldValue::from(candidates.len()))],
-    );
-    let mut scores = Vec::with_capacity(candidates.len());
-    let mut done: Vec<(i64, u64, u64)> = Vec::new();
-    if let Some(state) = resume {
-        for &(secs, h_bits, d_bits) in &state.done {
-            scores.push(IntervalScore {
-                interval: Duration(secs),
-                h: f64::from_bits(h_bits),
-                d: f64::from_bits(d_bits),
-                conductance: f64::NAN,
-            });
-        }
-        done.clone_from(&state.done);
-    }
-    for &interval in candidates.iter().skip(done.len()) {
-        // Safe point between candidates: completed scores plus the RNG
-        // position fully determine the remaining pilots.
-        ctl.tick(|| {
-            Some((
-                done.len() as u64,
-                rng.rng_state()?,
-                client.checkpoint_state(),
-                SamplerState::Pilot(PilotState { done: done.clone() }),
-            ))
-        });
-        let (h, d) = match pilot(client, query, interval, seeds, pilot_steps, rng) {
-            Ok(hd) => hd,
+    let mut pilots = Pilots::new(client.tracer(), candidates.len(), None);
+    let mut graph = QueryGraph::new(client, query, ViewKind::FullGraph);
+    for &interval in candidates {
+        match pilots.score(&mut graph, query, interval, seeds, pilot_steps, rng) {
+            Ok(()) => {}
             Err(e) if e.ends_walk() => break,
             Err(e) => {
-                tracer.span_end(
-                    Category::Walk,
-                    "pilot",
-                    pilot_span,
-                    &[("scored", FieldValue::from(scores.len()))],
-                );
+                pilots.close();
                 return Err(e.into());
             }
-        };
-        tracer.emit(
+        }
+    }
+    pilots.rank()
+}
+
+/// Picks the best interval (first of [`score_intervals`]).
+pub fn select_interval<R: Rng>(
+    client: &mut CachingClient<'_>,
+    query: &AggregateQuery,
+    seeds: &[UserId],
+    pilot_steps: usize,
+    rng: &mut R,
+) -> Result<IntervalScore, EstimateError> {
+    let scores = score_intervals(client, query, seeds, &CANDIDATES, pilot_steps, rng)?;
+    Ok(selected(client.tracer(), &scores))
+}
+
+/// The best of ranked `scores`, announced as `interval_selected`.
+pub(crate) fn selected(tracer: &Tracer, scores: &[IntervalScore]) -> IntervalScore {
+    let best = scores[0]; // ma-lint: allow(panic-safety) reason="Pilots::rank returns at least one score or an error"
+    tracer.emit(
+        Category::Walk,
+        "interval_selected",
+        &[
+            ("interval_secs", FieldValue::I64(best.interval.0)),
+            ("conductance", FieldValue::F64(best.conductance)),
+        ],
+    );
+    best
+}
+
+/// Interval selection in progress: the scores of the candidates piloted
+/// so far, in candidate order, under one `pilot` span — which brackets the
+/// whole sweep so live telemetry can attribute pilot latency to the
+/// `pilot` pipeline stage.
+pub(crate) struct Pilots {
+    done: Vec<PilotScore>,
+    tracer: Tracer,
+    candidates: usize,
+    /// The open `pilot` span, from the first pilot walk on.
+    span: Option<u64>,
+}
+
+impl Pilots {
+    /// A sweep over `candidates` candidates, resuming the scores a
+    /// [`PilotState`] checkpoint carries (their pilot walks' RNG draws are
+    /// reflected in the restored RNG).
+    pub(crate) fn new(tracer: &Tracer, candidates: usize, resume: Option<&PilotState>) -> Self {
+        Pilots {
+            done: resume.map(|state| state.done.clone()).unwrap_or_default(),
+            tracer: tracer.clone(),
+            candidates,
+            span: None,
+        }
+    }
+
+    /// Candidates scored so far.
+    pub(crate) fn scored(&self) -> usize {
+        self.done.len()
+    }
+
+    /// The checkpoint form of the sweep.
+    pub(crate) fn state(&self) -> PilotState {
+        PilotState {
+            done: self.done.clone(),
+        }
+    }
+
+    /// Scores `interval` with a pilot walk over its level view.
+    pub(crate) fn score<R: Rng>(
+        &mut self,
+        graph: &mut QueryGraph<'_, '_>,
+        query: &AggregateQuery,
+        interval: Duration,
+        seeds: &[UserId],
+        steps: usize,
+        rng: &mut R,
+    ) -> Result<(), ApiError> {
+        if self.span.is_none() {
+            self.tracer.set_phase(WalkPhase::Pilot);
+            self.span = Some(self.tracer.span_start(
+                Category::Walk,
+                "pilot",
+                &[("candidates", FieldValue::from(self.candidates))],
+            ));
+        }
+        graph.set_view(query, ViewKind::level(interval));
+        let (h, d) = pilot(graph, seeds, steps, rng)?;
+        self.tracer.emit(
             Category::Walk,
             "pilot",
             &[
@@ -142,111 +175,73 @@ pub fn score_intervals_recoverable<R: CheckpointRng>(
                 ("d", FieldValue::F64(d)),
             ],
         );
-        done.push((interval.0, h.to_bits(), d.to_bits()));
+        self.done.push((interval.0, h.to_bits(), d.to_bits()));
+        Ok(())
+    }
+
+    /// Closes the `pilot` span.
+    pub(crate) fn close(&self) {
+        if let Some(span) = self.span {
+            self.tracer.span_end(
+                Category::Walk,
+                "pilot",
+                span,
+                &[("scored", FieldValue::from(self.done.len()))],
+            );
+        }
+    }
+
+    /// Closes the span and ranks the scored candidates by Eq. (3)
+    /// conductance, best first.
+    pub(crate) fn rank(self) -> Result<Vec<IntervalScore>, EstimateError> {
+        self.close();
+        if self.done.is_empty() {
+            return Err(EstimateError::NoSamples);
+        }
+        let mut scores: Vec<IntervalScore> = self
+            .done
+            .iter()
+            .map(|&(secs, h_bits, d_bits)| IntervalScore {
+                interval: Duration(secs),
+                h: f64::from_bits(h_bits),
+                d: f64::from_bits(d_bits),
+                conductance: f64::NAN,
+            })
+            .collect();
         // Reference size: common across candidates, far enough above d·h
         // that Eq. (3)'s domain (d < n/h) holds for every candidate.
-        scores.push(IntervalScore {
-            interval,
-            h,
-            d,
-            conductance: f64::NAN,
+        let n_ref = scores
+            .iter()
+            .map(|s| s.h * (s.d + 1.0) * 4.0)
+            .fold(1024.0f64, f64::max);
+        for s in &mut scores {
+            s.conductance = conductance_level(n_ref, s.h.max(2.0), s.d.max(0.25));
+        }
+        scores.sort_by(|a, b| {
+            let ka = if a.conductance.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                a.conductance
+            };
+            let kb = if b.conductance.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                b.conductance
+            };
+            kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
         });
+        Ok(scores)
     }
-    tracer.span_end(
-        Category::Walk,
-        "pilot",
-        pilot_span,
-        &[("scored", FieldValue::from(scores.len()))],
-    );
-    if scores.is_empty() {
-        return Err(EstimateError::NoSamples);
-    }
-    let n_ref = scores
-        .iter()
-        .map(|s| s.h * (s.d + 1.0) * 4.0)
-        .fold(1024.0f64, f64::max);
-    for s in &mut scores {
-        s.conductance = conductance_level(n_ref, s.h.max(2.0), s.d.max(0.25));
-    }
-    scores.sort_by(|a, b| {
-        let ka = if a.conductance.is_nan() {
-            f64::NEG_INFINITY
-        } else {
-            a.conductance
-        };
-        let kb = if b.conductance.is_nan() {
-            f64::NEG_INFINITY
-        } else {
-            b.conductance
-        };
-        kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(scores)
 }
 
-/// Picks the best interval (first of [`score_intervals`]).
-pub fn select_interval<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    seeds: &[UserId],
-    pilot_steps: usize,
-    rng: &mut R,
-) -> Result<IntervalScore, EstimateError> {
-    select_interval_recoverable(
-        client,
-        query,
-        seeds,
-        pilot_steps,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
-}
-
-/// [`select_interval`] with checkpointing (see
-/// [`score_intervals_recoverable`]).
-pub fn select_interval_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    seeds: &[UserId],
-    pilot_steps: usize,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&PilotState>,
-) -> Result<IntervalScore, EstimateError> {
-    let scores = score_intervals_recoverable(
-        client,
-        query,
-        seeds,
-        &candidate_intervals(),
-        pilot_steps,
-        rng,
-        ctl,
-        resume,
-    )?;
-    let best = scores[0]; // ma-lint: allow(panic-safety) reason="score_intervals yields one score per candidate; the candidate list is non-empty"
-    client.tracer().emit(
-        Category::Walk,
-        "interval_selected",
-        &[
-            ("interval_secs", FieldValue::I64(best.interval.0)),
-            ("conductance", FieldValue::F64(best.conductance)),
-        ],
-    );
-    Ok(best)
-}
-
-/// One pilot walk: a short simple random walk over the level-by-level view
+/// One pilot walk: a short simple random walk over `graph`'s level view
 /// for the candidate interval; returns `(h_est, d_est)`.
 fn pilot<R: Rng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    interval: Duration,
+    graph: &mut QueryGraph<'_, '_>,
     seeds: &[UserId],
     steps: usize,
     rng: &mut R,
 ) -> Result<(f64, f64), ApiError> {
-    let mut graph = QueryGraph::new(client, query, ViewKind::level(interval));
     let mut current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
     let mut min_level = i64::MAX;
     let mut max_level = i64::MIN;

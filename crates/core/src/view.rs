@@ -73,24 +73,37 @@ pub struct QueryGraph<'c, 'p> {
 impl<'c, 'p> QueryGraph<'c, 'p> {
     /// Builds the view for `query` over `client`.
     pub fn new(client: &'c mut CachingClient<'p>, query: &AggregateQuery, kind: ViewKind) -> Self {
-        let now = client.now();
-        let window = query.effective_window(now);
-        let assigner = match kind {
-            ViewKind::LevelByLevel { interval, .. } => {
-                Some(LevelAssigner::new(query.keyword, window, interval))
-            }
-            _ => None,
-        };
-        QueryGraph {
+        let window = query.effective_window(client.now());
+        let mut graph = QueryGraph {
             client,
             kind,
             keyword: query.keyword,
             window,
-            assigner,
+            assigner: None,
             salt: 0x5EED,
             level_memo: std::collections::HashMap::new(),
             split_memo: std::collections::HashMap::new(),
-        }
+        };
+        graph.set_view(query, kind);
+        graph
+    }
+
+    /// Points the view at `kind` over the same client, as a fresh
+    /// [`QueryGraph::new`] would: the old view's memos are dropped, the
+    /// client's memoized responses are kept. MA-TARW walks its pilots and
+    /// then its chosen level view this way.
+    pub(crate) fn set_view(&mut self, query: &AggregateQuery, kind: ViewKind) {
+        self.kind = kind;
+        self.keyword = query.keyword;
+        self.window = query.effective_window(self.client.now());
+        self.assigner = match kind {
+            ViewKind::LevelByLevel { interval, .. } => {
+                Some(LevelAssigner::new(query.keyword, self.window, interval))
+            }
+            _ => None,
+        };
+        self.level_memo.clear();
+        self.split_memo.clear();
     }
 
     /// Overrides the ablation salt (so repeated runs drop *different*
@@ -295,7 +308,7 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
 }
 
 /// SplitMix64 — cheap deterministic hashing for the edge coin and the
-/// parallel chains' per-chain seed stream.
+/// interleaved chains' per-chain seed stream.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -9,6 +9,7 @@
 //! proposal costs a neighbor fetch of `v` whether accepted or not, and
 //! rejected proposals stall the chain.
 
+use super::{drive, mismatch, Flow, Sampler};
 use crate::checkpoint::{CheckpointCtl, CheckpointRng, MhrwState, SamplerState};
 use crate::error::EstimateError;
 use crate::estimate::{Estimate, RunningStats};
@@ -17,8 +18,12 @@ use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::CachingClient;
 use microblog_graph::sizing::CollisionCounter;
-use microblog_obs::{Category, FieldValue, WalkPhase};
-use microblog_platform::UserId;
+use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_platform::{Timestamp, UserId};
+use rand::Rng;
+
+/// Batch size of the batch-mean standard error.
+const BATCH: usize = 64;
 
 /// Configuration of the MHRW estimator.
 #[derive(Clone, Copy, Debug)]
@@ -58,170 +63,186 @@ pub fn estimate<R: CheckpointRng>(
     config: &MhrwConfig,
     rng: &mut R,
 ) -> Result<Estimate, EstimateError> {
-    estimate_recoverable(
-        client,
-        query,
-        config,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
+    let sampler = Mhrw::new(client, query, config, rng, None)?;
+    drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// [`estimate`] with checkpointing: emits [`SamplerState::Mhrw`]
-/// checkpoints through `ctl` and resumes bit-identically from `resume`
-/// (client memo and RNG restored by the caller).
-pub fn estimate_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    config: &MhrwConfig,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&MhrwState>,
-) -> Result<Estimate, EstimateError> {
-    let tracer = client.tracer().clone();
-    let seeds = fetch_seeds(client, query)?;
-    let now = client.now();
-    let mut graph = QueryGraph::new(client, query, config.view);
+/// The MHRW walk, checkpointed as [`SamplerState::Mhrw`].
+pub(crate) struct Mhrw<'a, 'p> {
+    graph: QueryGraph<'a, 'p>,
+    query: &'a AggregateQuery,
+    config: MhrwConfig,
+    seeds: Vec<UserId>,
+    now: Timestamp,
+    tracer: Tracer,
+    phase: WalkPhase,
+    current: UserId,
+    step: usize,
+    total_steps: usize,
+    sum_num: f64,
+    sum_den: f64,
+    sum_match: f64,
+    samples: usize,
+    collisions: CollisionCounter,
+    batch: RunningStats,
+    /// The in-progress batch: `(num, den-equivalent)` per kept sample.
+    batch_vals: Vec<(f64, f64)>,
+    /// Neighbor buffers of the current node and the proposal, reused
+    /// across the whole walk so each MH transition allocates nothing.
+    nbrs: Vec<UserId>,
+    prop_nbrs: Vec<UserId>,
+}
 
-    let mut sum_num;
-    let mut sum_den;
-    let mut sum_match;
-    let mut samples;
-    let mut collisions;
-    let mut batch;
-    let mut batch_vals: Vec<(f64, f64)>; // (num, den-equivalent)
-    const BATCH: usize = 64;
-
-    let mut current;
-    let mut cur_deg: Option<usize> = None;
-    let mut step;
-    let mut total_steps;
-    match resume {
-        Some(state) => {
-            sum_num = f64::from_bits(state.sum_num_bits);
-            sum_den = f64::from_bits(state.sum_den_bits);
-            sum_match = f64::from_bits(state.sum_match_bits);
-            samples = state.samples as usize;
-            collisions = CollisionCounter::restore(&state.collisions);
-            batch = RunningStats::restore(state.batch);
-            batch_vals = state
+impl<'a, 'p> Mhrw<'a, 'p> {
+    /// The walk, fresh or resumed from a [`SamplerState::Mhrw`]
+    /// checkpoint (client memo and RNG restored by the caller).
+    pub(crate) fn new<R: Rng>(
+        client: &'a mut CachingClient<'p>,
+        query: &'a AggregateQuery,
+        config: &MhrwConfig,
+        rng: &mut R,
+        resume: Option<&SamplerState>,
+    ) -> Result<Self, EstimateError> {
+        let resume = match resume {
+            None => None,
+            Some(SamplerState::Mhrw(state)) => Some(state),
+            Some(_) => return Err(mismatch()),
+        };
+        let tracer = client.tracer().clone();
+        let seeds = fetch_seeds(client, query)?;
+        let now = client.now();
+        let graph = QueryGraph::new(client, query, config.view);
+        let fresh;
+        let state = match resume {
+            Some(state) => state,
+            None => {
+                fresh = MhrwState {
+                    current: seeds[rng.gen_range(0..seeds.len())], // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
+                    step: 0,
+                    total_steps: 0,
+                    sum_num_bits: 0,
+                    sum_den_bits: 0,
+                    sum_match_bits: 0,
+                    samples: 0,
+                    collisions: CollisionCounter::new().snapshot(),
+                    batch: RunningStats::new().snapshot(),
+                    batch_vals: Vec::new(),
+                };
+                &fresh
+            }
+        };
+        let phase = if config.burn_in > 0 && (state.step as usize) < config.burn_in {
+            WalkPhase::BurnIn
+        } else {
+            WalkPhase::Walk
+        };
+        tracer.set_phase(phase);
+        Ok(Mhrw {
+            graph,
+            query,
+            config: *config,
+            seeds,
+            now,
+            tracer,
+            phase,
+            current: state.current,
+            step: state.step as usize,
+            total_steps: state.total_steps as usize,
+            sum_num: f64::from_bits(state.sum_num_bits),
+            sum_den: f64::from_bits(state.sum_den_bits),
+            sum_match: f64::from_bits(state.sum_match_bits),
+            samples: state.samples as usize,
+            collisions: CollisionCounter::restore(&state.collisions),
+            batch: RunningStats::restore(state.batch),
+            batch_vals: state
                 .batch_vals
                 .iter()
                 .map(|&(n, d)| (f64::from_bits(n), f64::from_bits(d)))
-                .collect();
-            current = state.current;
-            step = state.step as usize;
-            total_steps = state.total_steps as usize;
-        }
-        None => {
-            sum_num = 0.0;
-            sum_den = 0.0;
-            sum_match = 0.0;
-            samples = 0usize;
-            collisions = CollisionCounter::new();
-            batch = RunningStats::new();
-            batch_vals = Vec::new();
-            current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            step = 0usize;
-            total_steps = 0usize;
-        }
+                .collect(),
+            nbrs: Vec::new(),
+            prop_nbrs: Vec::new(),
+        })
     }
-    let mut phase = if config.burn_in > 0 && step < config.burn_in {
-        WalkPhase::BurnIn
-    } else {
-        WalkPhase::Walk
-    };
-    tracer.set_phase(phase);
-    // Two neighbor buffers (current node + proposal) reused across the
-    // whole walk, so each MH transition allocates nothing.
-    let mut nbrs: Vec<UserId> = Vec::new();
-    let mut prop_nbrs: Vec<UserId> = Vec::new();
-    loop {
-        // Safe point: the captured tuple fully determines the rest of
-        // the walk (`cur_deg` is recomputed every iteration).
-        ctl.tick(|| {
-            graph.client_mut().drain_prefetch();
-            Some((
-                total_steps as u64,
-                rng.rng_state()?,
-                graph.client().checkpoint_state(),
-                SamplerState::Mhrw(MhrwState {
-                    current,
-                    step: step as u64,
-                    total_steps: total_steps as u64,
-                    sum_num_bits: sum_num.to_bits(),
-                    sum_den_bits: sum_den.to_bits(),
-                    sum_match_bits: sum_match.to_bits(),
-                    samples: samples as u64,
-                    collisions: collisions.snapshot(),
-                    batch: batch.snapshot(),
-                    batch_vals: batch_vals
-                        .iter()
-                        .map(|&(n, d)| (n.to_bits(), d.to_bits()))
-                        .collect(),
-                }),
-            ))
-        });
-        if total_steps >= config.max_steps {
-            break;
-        }
-        total_steps += 1;
-        match graph.neighbors_into(current, &mut nbrs) {
-            Ok(()) => {}
-            Err(e) if e.ends_walk() => break,
-            Err(e) => return Err(e.into()),
+}
+
+impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
+    fn client(&mut self) -> &mut CachingClient<'p> {
+        self.graph.client_mut()
+    }
+
+    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+        let state = MhrwState {
+            current: self.current,
+            step: self.step as u64,
+            total_steps: self.total_steps as u64,
+            sum_num_bits: self.sum_num.to_bits(),
+            sum_den_bits: self.sum_den.to_bits(),
+            sum_match_bits: self.sum_match.to_bits(),
+            samples: self.samples as u64,
+            collisions: self.collisions.snapshot(),
+            batch: self.batch.snapshot(),
+            batch_vals: self
+                .batch_vals
+                .iter()
+                .map(|&(n, d)| (n.to_bits(), d.to_bits()))
+                .collect(),
         };
-        let d_u = nbrs.len();
-        cur_deg = Some(d_u);
-        if phase == WalkPhase::BurnIn && step >= config.burn_in {
+        Some((self.total_steps as u64, SamplerState::Mhrw(state)))
+    }
+
+    fn step<R: CheckpointRng>(&mut self, rng: &mut R) -> Result<Flow, EstimateError> {
+        let config = self.config;
+        let tracer = &self.tracer;
+        if self.total_steps >= config.max_steps {
+            return Ok(Flow::Stop);
+        }
+        self.total_steps += 1;
+        self.graph.neighbors_into(self.current, &mut self.nbrs)?;
+        let d_u = self.nbrs.len();
+        if self.phase == WalkPhase::BurnIn && self.step >= config.burn_in {
             tracer.emit(
                 Category::Walk,
                 "burnin_end",
                 &[
-                    ("step", FieldValue::from(total_steps)),
-                    ("chain_step", FieldValue::from(step)),
+                    ("step", FieldValue::from(self.total_steps)),
+                    ("chain_step", FieldValue::from(self.step)),
                 ],
             );
-            phase = WalkPhase::Walk;
-            tracer.set_phase(phase);
+            self.phase = WalkPhase::Walk;
+            tracer.set_phase(self.phase);
         }
-        if step >= config.burn_in && step.is_multiple_of(config.thinning.max(1)) {
-            let view = match graph.view(current) {
-                Ok(v) => v,
-                Err(e) if e.ends_walk() => break,
-                Err(e) => return Err(e.into()),
-            };
-            let (matches, num, den) = query.sample_values(&view, now);
-            sum_num += num;
-            sum_den += den;
-            sum_match += matches as u8 as f64;
-            samples += 1;
-            collisions.push(current.0, 1);
+        if self.step >= config.burn_in && self.step.is_multiple_of(config.thinning.max(1)) {
+            let view = self.graph.view(self.current)?;
+            let (matches, num, den) = self.query.sample_values(&view, self.now);
+            self.sum_num += num;
+            self.sum_den += den;
+            self.sum_match += matches as u8 as f64;
+            self.samples += 1;
+            self.collisions.push(self.current.0, 1);
             tracer.emit(
                 Category::Walk,
                 "sample",
                 &[
-                    ("node", FieldValue::from(current.0)),
+                    ("node", FieldValue::from(self.current.0)),
                     ("degree", FieldValue::from(d_u)),
                     ("matches", FieldValue::U64(u64::from(matches))),
                 ],
             );
-            batch_vals.push((
+            self.batch_vals.push((
                 num,
-                if matches!(query.aggregate, Aggregate::RatioOfSums { .. }) {
+                if matches!(self.query.aggregate, Aggregate::RatioOfSums { .. }) {
                     den
                 } else {
                     matches as u8 as f64
                 },
             ));
-            if batch_vals.len() >= BATCH {
-                let n: f64 = batch_vals.iter().map(|v| v.0).sum();
-                let d: f64 = batch_vals.iter().map(|v| v.1).sum();
+            if self.batch_vals.len() >= BATCH {
+                let n: f64 = self.batch_vals.iter().map(|v| v.0).sum();
+                let d: f64 = self.batch_vals.iter().map(|v| v.1).sum();
                 if d > 0.0 {
-                    batch.push(n / d);
+                    self.batch.push(n / d);
                 }
-                batch_vals.clear();
+                self.batch_vals.clear();
             }
         }
         if d_u == 0 {
@@ -229,82 +250,75 @@ pub fn estimate_recoverable<R: CheckpointRng>(
                 Category::Walk,
                 "restart",
                 &[
-                    ("node", FieldValue::from(current.0)),
-                    ("step", FieldValue::from(total_steps)),
+                    ("node", FieldValue::from(self.current.0)),
+                    ("step", FieldValue::from(self.total_steps)),
                 ],
             );
-            current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            step = 0;
-            cur_deg = None;
-            if config.burn_in > 0 && phase != WalkPhase::BurnIn {
-                phase = WalkPhase::BurnIn;
-                tracer.set_phase(phase);
+            self.current = self.seeds[rng.gen_range(0..self.seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
+            self.step = 0;
+            if config.burn_in > 0 && self.phase != WalkPhase::BurnIn {
+                self.phase = WalkPhase::BurnIn;
+                tracer.set_phase(self.phase);
             }
-            continue;
+            return Ok(Flow::Continue);
         }
         // Propose and accept/reject.
-        let proposal = nbrs[rng.gen_range(0..nbrs.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-        match graph.neighbors_into(proposal, &mut prop_nbrs) {
-            Ok(()) => {}
-            Err(e) if e.ends_walk() => break,
-            Err(e) => return Err(e.into()),
-        };
-        let d_v = prop_nbrs.len();
+        let proposal = self.nbrs[rng.gen_range(0..d_u)]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
+        self.graph.neighbors_into(proposal, &mut self.prop_nbrs)?;
+        let d_v = self.prop_nbrs.len();
         let accept = d_v > 0 && rng.gen::<f64>() < (d_u as f64 / d_v as f64).min(1.0);
         tracer.emit(
             Category::Walk,
             if accept { "mh_accept" } else { "mh_reject" },
             &[
-                ("from", FieldValue::from(current.0)),
+                ("from", FieldValue::from(self.current.0)),
                 ("proposal", FieldValue::from(proposal.0)),
                 ("d_u", FieldValue::from(d_u)),
                 ("d_v", FieldValue::from(d_v)),
             ],
         );
         if accept {
-            current = proposal;
-            cur_deg = Some(d_v);
+            self.current = proposal;
         }
-        step += 1;
+        self.step += 1;
+        Ok(Flow::Continue)
     }
-    let _ = cur_deg;
 
-    if samples == 0 {
-        return Err(EstimateError::NoSamples);
+    fn finish(self) -> Result<Estimate, EstimateError> {
+        if self.samples == 0 {
+            return Err(EstimateError::NoSamples);
+        }
+        let samples = self.samples as f64;
+        let value = match self.query.aggregate {
+            Aggregate::Count => {
+                let n_hat = self.collisions.estimate().ok_or(EstimateError::NoSamples)?;
+                n_hat * self.sum_match / samples
+            }
+            Aggregate::Sum(_) => {
+                let n_hat = self.collisions.estimate().ok_or(EstimateError::NoSamples)?;
+                n_hat * self.sum_num / samples
+            }
+            Aggregate::Avg(_) => {
+                if self.sum_match == 0.0 {
+                    return Err(EstimateError::NoSamples);
+                }
+                self.sum_num / self.sum_match
+            }
+            Aggregate::RatioOfSums { .. } => {
+                if self.sum_den == 0.0 {
+                    return Err(EstimateError::NoSamples);
+                }
+                self.sum_num / self.sum_den
+            }
+        };
+        Ok(Estimate {
+            value,
+            std_err: self.batch.std_err(),
+            cost: self.graph.cost(),
+            samples: self.samples,
+            instances: 1,
+        })
     }
-    let value = match query.aggregate {
-        Aggregate::Count => {
-            let n_hat = collisions.estimate().ok_or(EstimateError::NoSamples)?;
-            n_hat * sum_match / samples as f64
-        }
-        Aggregate::Sum(_) => {
-            let n_hat = collisions.estimate().ok_or(EstimateError::NoSamples)?;
-            n_hat * sum_num / samples as f64
-        }
-        Aggregate::Avg(_) => {
-            if sum_match == 0.0 {
-                return Err(EstimateError::NoSamples);
-            }
-            sum_num / sum_match
-        }
-        Aggregate::RatioOfSums { .. } => {
-            if sum_den == 0.0 {
-                return Err(EstimateError::NoSamples);
-            }
-            sum_num / sum_den
-        }
-    };
-    Ok(Estimate {
-        value,
-        std_err: if batch.count() >= 2 {
-            batch.std_err()
-        } else {
-            None
-        },
-        cost: graph.cost(),
-        samples,
-        instances: 1,
-    })
 }
 
 #[cfg(test)]

@@ -2,31 +2,128 @@
 //!
 //! * [`srw`] — MA-SRW and its baselines: a simple random walk over any
 //!   [`crate::view::ViewKind`], with degree-reweighted ratio estimation for
-//!   AVG and collision (Katzir) size estimation for COUNT/SUM.
+//!   AVG and collision (Katzir) size estimation for COUNT/SUM; [`multi`]
+//!   interleaves many such chains over one client.
 //! * [`tarw`] — MA-TARW: the topology-aware bottom-top-bottom walk with
 //!   `ESTIMATE-p` selection-probability estimation (Algorithm 2/3).
 //! * [`mr`] — the mark-and-recapture baseline of the paper's §6 (Katzir et
 //!   al. adapted to keyword-conditioned counting), with the conservative
 //!   sample spacing the original requires.
+//! * [`mhrw`] and [`snowball`] — the Metropolis–Hastings and BFS/DFS
+//!   baselines of the graph-sampling literature.
+//!
+//! Every sampler is a [`Sampler`] — its state, one step, a snapshot and a
+//! finish — and [`drive`] is the one loop that runs them all.
 
 pub mod burnin;
 pub mod mhrw;
 pub mod mr;
 pub mod multi;
-pub mod parallel;
 pub mod snowball;
 pub mod srw;
 pub mod tarw;
 
+use crate::checkpoint::{CheckpointCtl, CheckpointRng, SamplerState};
+use crate::error::EstimateError;
+use crate::estimate::Estimate;
 use crate::query::{Aggregate, AggregateQuery};
-use microblog_api::UserView;
+use microblog_api::{CachingClient, UserView};
 use microblog_graph::sizing::CollisionCounter;
+use microblog_obs::{Category, FieldValue};
 use microblog_platform::Timestamp;
 
-/// RNG seed for chain `chain` of a run seeded with `run_seed` — shared by
-/// the thread-parallel runner ([`parallel`]) and the interleaved
-/// multi-chain executor ([`multi`]), so `k` interleaved chains draw the
-/// same trajectories `k` parallel chains would.
+/// What a [`Sampler::step`] tells the driver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// Pass the next safe point, then step again.
+    Continue,
+    /// The walk is over: finish without a further safe point.
+    Stop,
+}
+
+/// One sampler — MA-SRW, MA-TARW or a baseline — as the state [`drive`]
+/// steps. A sampler owns its walk state and its view of the client; the
+/// driver owns the safe points, termination and the `walk` span.
+pub(crate) trait Sampler<'p> {
+    /// The client every fetch goes through (drained and captured at safe
+    /// points).
+    fn client(&mut self) -> &mut CachingClient<'p>;
+
+    /// The resumable state at a safe point: a progress marker for logs
+    /// and the sampler's [`SamplerState`]; `None` when it cannot be
+    /// captured.
+    fn snapshot(&self) -> Option<(u64, SamplerState)>;
+
+    /// Advances the walk by one step. A walk-ending API error
+    /// ([`microblog_api::ApiError::ends_walk`]) ends the walk like
+    /// [`Flow::Stop`]; any other error fails the run.
+    fn step<R: CheckpointRng>(&mut self, rng: &mut R) -> Result<Flow, EstimateError>;
+
+    /// The estimate from everything the walk collected.
+    fn finish(self) -> Result<Estimate, EstimateError>;
+}
+
+/// Runs `sampler` to its end and finishes it.
+///
+/// * **Safe points.** Before every step the loop offers `ctl` a
+///   checkpoint. Capture drains announced prefetches first, so a
+///   snapshot never races a half-done fetch, then takes the RNG, the
+///   client memo and the sampler state. A step that stops leaves no
+///   further safe point behind it.
+/// * **Termination.** A step stops the walk by returning [`Flow::Stop`]
+///   or a walk-ending API error (budget exhausted, resilience gave up);
+///   every other error fails the run.
+/// * **Tracing.** One `walk` span brackets the steps — the walk stage of
+///   live telemetry. It is a job-lifecycle span like `estimate`: in the
+///   walk category, a bounded recorder would evict its start under the
+///   run's own per-step events.
+///
+/// Generic over the sampler and the RNG, so a step is a direct call.
+pub(crate) fn drive<'p, S: Sampler<'p>, R: CheckpointRng>(
+    mut sampler: S,
+    rng: &mut R,
+    ctl: &mut CheckpointCtl<'_>,
+) -> Result<Estimate, EstimateError> {
+    let tracer = sampler.client().tracer().clone();
+    let span = tracer.span_start(Category::Job, "walk", &[]);
+    let walked = loop {
+        ctl.tick(|| {
+            let client = sampler.client();
+            client.drain_prefetch();
+            let client = client.checkpoint_state();
+            let (steps, state) = sampler.snapshot()?;
+            Some((steps, rng.rng_state()?, client, state))
+        });
+        match sampler.step(rng) {
+            Ok(Flow::Continue) => {}
+            Ok(Flow::Stop) => break Ok(()),
+            Err(EstimateError::Api(e)) if e.ends_walk() => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    let result = walked.and_then(|()| sampler.finish());
+    if tracer.is_enabled() {
+        let outcome = if result.is_ok() { "ok" } else { "error" };
+        tracer.span_end(
+            Category::Job,
+            "walk",
+            span,
+            &[("outcome", FieldValue::from(outcome))],
+        );
+    }
+    result
+}
+
+/// The checkpoint-mismatch error: a sampler was asked to resume from
+/// another sampler's state.
+pub(crate) fn mismatch() -> EstimateError {
+    EstimateError::Unsupported("checkpoint does not match the job's algorithm")
+}
+
+/// RNG seed for chain `chain` of a run seeded with `run_seed` — the
+/// per-chain streams of the interleaved multi-chain executor
+/// ([`multi`]), so a chain's trajectory depends only on
+/// `(run_seed, chain)`.
 ///
 /// Chains draw from a SplitMix64 stream instead of the naive
 /// `run_seed + chain`, which aliased across runs: chain 1 of run 7 was
@@ -243,6 +340,22 @@ mod tests {
         let q = AggregateQuery::avg(UserMetric::FollowerCount, KeywordId(0));
         let a = accum_with(&[(1, 2, false, 0.0, 0.0)], false);
         assert_eq!(a.finalize(&q), None);
+    }
+
+    #[test]
+    fn chain_seeds_do_not_alias_across_runs() {
+        // The old `run_seed + chain` derivation made these two equal.
+        assert_ne!(chain_seed(7, 1), chain_seed(8, 0));
+        // And all chains of nearby runs stay pairwise distinct.
+        let mut seen = std::collections::HashSet::new();
+        for run in 0..32u64 {
+            for chain in 0..8u64 {
+                assert!(
+                    seen.insert(chain_seed(run, chain)),
+                    "aliased seed at run {run} chain {chain}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! expensive than MA-SRW's reuse of every post-burn-in visit — the
 //! separation visible in Figures 10 and 13.
 
-use crate::checkpoint::CheckpointRng;
+use super::drive;
+use super::srw::{Srw, SrwConfig};
+use crate::checkpoint::{CheckpointCtl, CheckpointRng, SamplerState};
 use crate::error::EstimateError;
 use crate::estimate::Estimate;
 use crate::query::{Aggregate, AggregateQuery};
 use crate::view::ViewKind;
-use crate::walker::srw::{estimate as srw_estimate, SrwConfig};
 use microblog_api::CachingClient;
+use rand::Rng;
 
 /// Configuration of the M&R baseline.
 #[derive(Clone, Copy, Debug)]
@@ -61,26 +63,23 @@ pub fn estimate<R: CheckpointRng>(
     config: &MrConfig,
     rng: &mut R,
 ) -> Result<Estimate, EstimateError> {
-    if !matches!(query.aggregate, Aggregate::Count) {
-        return Err(EstimateError::Unsupported("M&R only estimates COUNT"));
-    }
-    srw_estimate(client, query, &config.srw(), rng)
+    let sampler = sampler(client, query, config, rng, None)?;
+    drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// [`estimate`] with checkpointing — M&R is an SRW configuration, so its
-/// checkpoints are [`crate::checkpoint::SamplerState::Srw`] states.
-pub fn estimate_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
+/// M&R as the SRW sampler it is, so its checkpoints are
+/// [`SamplerState::Srw`] states.
+pub(crate) fn sampler<'a, 'p, R: Rng>(
+    client: &'a mut CachingClient<'p>,
+    query: &'a AggregateQuery,
     config: &MrConfig,
     rng: &mut R,
-    ctl: &mut crate::checkpoint::CheckpointCtl<'_>,
-    resume: Option<&crate::checkpoint::SrwState>,
-) -> Result<Estimate, EstimateError> {
+    resume: Option<&SamplerState>,
+) -> Result<Srw<'a, 'p>, EstimateError> {
     if !matches!(query.aggregate, Aggregate::Count) {
         return Err(EstimateError::Unsupported("M&R only estimates COUNT"));
     }
-    crate::walker::srw::estimate_recoverable(client, query, &config.srw(), rng, ctl, resume)
+    Srw::new(client, query, &config.srw(), rng, resume)
 }
 
 #[cfg(test)]

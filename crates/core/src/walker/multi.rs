@@ -1,19 +1,18 @@
 //! Interleaved multi-chain SRW: N chains, one client, zero idle RTT.
 //!
-//! [`super::parallel`] runs chains on OS threads with separate client
-//! caches — independent crawlers. This module instead runs N logical
-//! chains *interleaved on one thread over one shared client*, advancing
-//! them in rounds: each round first **plans** every live chain's next
-//! step (announcing the fetches the step will need through the client's
-//! prefetch sink), then runs a **warm sweep**
-//! ([`QueryGraph::prefetch_step`]) that consumes each chain's planned
-//! connections fetch and announces the candidate probe wave one level
-//! deeper, then **executes** the steps in the same order — announcing
-//! each chain's *next*-round fetches as soon as its step lands, so the
-//! tail of one round overlaps the head of the next. With a fetch
-//! scheduler attached, chain 1's step overlaps the RTT of chains 2..N's
-//! fetches — the walk computes while the network works. Without a sink
-//! the announces are no-ops and the rounds degenerate to plain
+//! N logical chains run *interleaved on one thread over one shared
+//! client*, advancing in rounds — one round per [`Sampler::step`]. Each
+//! round first **plans** every live chain's next step (announcing the
+//! fetches the step will need through the client's prefetch sink), then
+//! runs a **warm sweep** ([`QueryGraph::prefetch_step`]) that consumes
+//! each chain's planned connections fetch and announces the candidate
+//! probe wave one level deeper, then **executes** the steps in the same
+//! order with [`SrwChain::step`], the solo walk's own step body —
+//! announcing each chain's *next*-round fetches as soon as its step
+//! lands, so the tail of one round overlaps the head of the next. With a
+//! fetch scheduler attached, chain 1's step overlaps the RTT of chains
+//! 2..N's fetches — the walk computes while the network works. Without a
+//! sink the announces are no-ops and the rounds degenerate to plain
 //! sequential execution — which is exactly the point:
 //!
 //! # Determinism
@@ -29,33 +28,29 @@
 //!   announcing changes when backend calls happen, never whether, and
 //!   consumption (and therefore charging) order is fixed by the round
 //!   structure.
-//! * Checkpoint safe points sit at round boundaries only, after a
+//! * Checkpoint safe points sit at round boundaries only — the driver's
+//!   safe point between two steps — after a
 //!   [`microblog_api::CachingClient::drain_prefetch`], so a captured
 //!   state never races an in-flight fetch and resume needs no scheduler
 //!   state.
 //! * The first `BudgetExhausted` walk-ending error freezes the run:
-//!   every chain is marked done at the next round boundary *before* the
-//!   safe point runs, so the checkpoint captures the killed state and a
+//!   every chain is marked done at the end of that round, *before* the
+//!   next safe point, so the checkpoint captures the killed state and a
 //!   resume cannot step past the horizon a sequential run stopped at.
 
+use super::srw::{SrwChain, SrwConfig, SrwWalk};
+use super::{drive, mismatch, Flow, Sampler};
 use crate::checkpoint::{
-    CheckpointCtl, CheckpointRng, MultiChainState, MultiSrwState, SamplerState, SrwState,
+    CheckpointCtl, CheckpointRng, MultiChainState, MultiSrwState, SamplerState,
 };
 use crate::error::EstimateError;
 use crate::estimate::{Estimate, RunningStats};
 use crate::query::AggregateQuery;
-use crate::seeds::fetch_seeds;
-use crate::view::{QueryGraph, ViewKind};
-use crate::walker::srw::SrwConfig;
-use microblog_api::CachingClient;
-use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use crate::view::ViewKind;
+use microblog_api::{ApiError, CachingClient};
 use microblog_platform::UserId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Batch size for the per-chain batch-mean standard error (matches the
-/// solo SRW estimator).
-const BATCH: usize = 64;
 
 /// Configuration of the interleaved multi-chain SRW executor.
 #[derive(Clone, Copy, Debug)]
@@ -81,209 +76,13 @@ fn round_order(seed: u64, n: usize) -> Vec<usize> {
     order
 }
 
-/// One logical chain's live state — the in-memory form of
-/// [`MultiChainState`].
-struct Chain {
-    rng: ChaCha8Rng,
-    current: UserId,
-    step_in_chain: usize,
-    total_steps: usize,
-    kept: usize,
-    accum: super::SampleAccumulator,
-    batch: RunningStats,
-    batch_accum: super::SampleAccumulator,
-    done: bool,
-}
-
-impl Chain {
-    fn fresh(run_seed: u64, index: usize, seeds: &[UserId]) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(super::chain_seed(run_seed, index as u64));
-        let current = seeds[rand::Rng::gen_range(&mut rng, 0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-        Chain {
-            rng,
-            current,
-            step_in_chain: 0,
-            total_steps: 0,
-            kept: 0,
-            accum: super::SampleAccumulator::new(),
-            batch: RunningStats::new(),
-            batch_accum: super::SampleAccumulator::new(),
-            done: false,
-        }
-    }
-
-    fn restore(state: &MultiChainState) -> Result<Self, EstimateError> {
-        let rng = state.rng.to_chacha8().ok_or(EstimateError::Unsupported(
-            "checkpoint carries a malformed chain RNG state",
-        ))?;
-        let walk = &state.walk;
-        Ok(Chain {
-            rng,
-            current: walk.current,
-            step_in_chain: walk.step_in_chain as usize,
-            total_steps: walk.total_steps as usize,
-            kept: walk.kept as usize,
-            accum: super::SampleAccumulator::restore(&walk.accum),
-            batch: RunningStats::restore(walk.batch),
-            batch_accum: super::SampleAccumulator::restore(&walk.batch_accum),
-            done: state.done,
-        })
-    }
-
-    fn capture(&self) -> Option<MultiChainState> {
-        Some(MultiChainState {
-            rng: self.rng.rng_state()?,
-            walk: SrwState {
-                current: self.current,
-                step_in_chain: self.step_in_chain as u64,
-                total_steps: self.total_steps as u64,
-                kept: self.kept as u64,
-                accum: self.accum.snapshot(),
-                batch: self.batch.snapshot(),
-                batch_accum: self.batch_accum.snapshot(),
-            },
-            done: self.done,
-        })
-    }
-
-    fn phase(&self, config: &SrwConfig) -> WalkPhase {
-        if config.burn_in > 0 && self.step_in_chain < config.burn_in {
-            WalkPhase::BurnIn
-        } else {
-            WalkPhase::Walk
-        }
-    }
-
-    /// Whether the *next* step will hit the sampling branch — used by the
-    /// planner to decide if the chain's own timeline must be announced.
-    fn will_sample(&self, config: &SrwConfig) -> bool {
-        self.step_in_chain >= config.burn_in
-            && self.step_in_chain.is_multiple_of(config.thinning.max(1))
-    }
-
-    /// Advances the chain by one transition — the loop body of
-    /// [`super::srw::estimate_recoverable`], operating on this chain's
-    /// state. Walk-ending conditions mark the chain done; only
-    /// non-recoverable errors propagate.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        index: usize,
-        graph: &mut QueryGraph<'_, '_>,
-        query: &AggregateQuery,
-        config: &SrwConfig,
-        seeds: &[UserId],
-        now: microblog_platform::Timestamp,
-        tracer: &Tracer,
-        nbrs: &mut Vec<UserId>,
-        budget_dead: &mut bool,
-    ) -> Result<(), EstimateError> {
-        if self.total_steps >= config.max_steps {
-            self.done = true;
-            return Ok(());
-        }
-        self.total_steps += 1;
-        match graph.neighbors_into(self.current, nbrs) {
-            Ok(()) => {}
-            Err(e) if e.ends_walk() => {
-                if matches!(e, microblog_api::ApiError::BudgetExhausted { .. }) {
-                    *budget_dead = true;
-                }
-                self.done = true;
-                return Ok(());
-            }
-            Err(e) => return Err(e.into()),
-        }
-        // `step_in_chain` moves by single increments (restarts reset it
-        // below burn-in), so the crossing iteration is exactly `== burn_in`
-        // — the stateless form of the solo walker's sticky phase flag.
-        if config.burn_in > 0 && self.step_in_chain == config.burn_in {
-            tracer.emit(
-                Category::Walk,
-                "burnin_end",
-                &[
-                    ("chain", FieldValue::from(index)),
-                    ("step", FieldValue::from(self.total_steps)),
-                    ("chain_step", FieldValue::from(self.step_in_chain)),
-                ],
-            );
-        }
-        if self.step_in_chain >= config.burn_in
-            && self.step_in_chain.is_multiple_of(config.thinning.max(1))
-        {
-            let view = match graph.view(self.current) {
-                Ok(v) => v,
-                Err(e) if e.ends_walk() => {
-                    if matches!(e, microblog_api::ApiError::BudgetExhausted { .. }) {
-                        *budget_dead = true;
-                    }
-                    self.done = true;
-                    return Ok(());
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let (matches, num, den) = query.sample_values(&view, now);
-            let collide = query.needs_size_estimate()
-                && self.kept.is_multiple_of(config.collision_spacing.max(1));
-            self.accum
-                .push(self.current.0, nbrs.len(), matches, num, den, collide);
-            self.batch_accum
-                .push(self.current.0, nbrs.len(), matches, num, den, false);
-            self.kept += 1;
-            tracer.emit(
-                Category::Walk,
-                "sample",
-                &[
-                    ("chain", FieldValue::from(index)),
-                    ("node", FieldValue::from(self.current.0)),
-                    ("degree", FieldValue::from(nbrs.len())),
-                    ("matches", FieldValue::U64(u64::from(matches))),
-                    ("collide", FieldValue::U64(u64::from(collide))),
-                ],
-            );
-            if self.batch_accum.samples() >= BATCH {
-                if let Some(v) = self.batch_accum.finalize(query) {
-                    self.batch.push(v);
-                }
-                self.batch_accum = super::SampleAccumulator::new();
-            }
-        }
-        if nbrs.is_empty() {
-            // Dangling under this view: restart the chain from a seed.
-            tracer.emit(
-                Category::Walk,
-                "restart",
-                &[
-                    ("chain", FieldValue::from(index)),
-                    ("node", FieldValue::from(self.current.0)),
-                    ("step", FieldValue::from(self.total_steps)),
-                ],
-            );
-            self.current = seeds[rand::Rng::gen_range(&mut self.rng, 0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            self.step_in_chain = 0;
-            return Ok(());
-        }
-        let next = nbrs[rand::Rng::gen_range(&mut self.rng, 0..nbrs.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-        tracer.emit(
-            Category::Walk,
-            "step",
-            &[
-                ("chain", FieldValue::from(index)),
-                ("from", FieldValue::from(self.current.0)),
-                ("to", FieldValue::from(next.0)),
-                ("degree", FieldValue::from(nbrs.len())),
-            ],
-        );
-        self.current = next;
-        self.step_in_chain += 1;
-        Ok(())
-    }
-}
-
 /// Runs `config.chains` interleaved chains until each exhausts the shared
-/// budget (or its step cap), then pools the per-chain estimates like
-/// [`super::parallel::estimate_parallel`] — plain average with a
-/// cross-chain standard error.
+/// budget (or its step cap), then pools the per-chain estimates — plain
+/// average with a cross-chain standard error.
+///
+/// `rng` is the job's outer RNG; the chains never draw from it (each has
+/// its own seeded stream) — it is captured into checkpoints so the
+/// generic resume path can restore it.
 pub fn estimate<R: CheckpointRng>(
     client: &mut CachingClient<'_>,
     query: &AggregateQuery,
@@ -291,108 +90,147 @@ pub fn estimate<R: CheckpointRng>(
     seed: u64,
     rng: &mut R,
 ) -> Result<Estimate, EstimateError> {
-    estimate_recoverable(
-        client,
-        query,
-        config,
-        seed,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
+    let sampler = MultiSrw::new(client, query, config, seed, None)?;
+    drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// [`estimate`] with checkpointing: emits [`SamplerState::MultiSrw`]
-/// checkpoints at round boundaries through `ctl`, and resumes
-/// bit-identically from `resume`.
-///
-/// `rng` is the job's outer RNG; the chains never draw from it (each has
-/// its own seeded stream) — it is captured into checkpoints so the
-/// generic resume path can restore it.
-pub fn estimate_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    config: &MultiSrwConfig,
-    seed: u64,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&MultiSrwState>,
-) -> Result<Estimate, EstimateError> {
-    let n = config.chains.max(1);
-    let tracer = client.tracer().clone();
-    let seeds = fetch_seeds(client, query)?;
-    let now = client.now();
-    let mut graph = QueryGraph::new(client, query, config.srw.view);
-    let mut chains: Vec<Chain> = match resume {
-        Some(state) => {
-            if state.chains.len() != n {
-                return Err(EstimateError::Unsupported(
-                    "checkpoint chain count does not match the configuration",
-                ));
+/// One interleaved chain: its own RNG stream, the SRW chain state, and
+/// whether it has finished walking — the in-memory form of
+/// [`MultiChainState`].
+struct Chain {
+    rng: ChaCha8Rng,
+    walk: SrwChain,
+    done: bool,
+}
+
+/// The interleaved executor, checkpointed as [`SamplerState::MultiSrw`].
+pub(crate) struct MultiSrw<'a, 'p> {
+    walk: SrwWalk<'a, 'p>,
+    chains: Vec<Chain>,
+    /// Chain scheduling order: a deterministic function of the seed.
+    order: Vec<usize>,
+    needs_level: bool,
+    announce_conns: Vec<UserId>,
+    announce_tls: Vec<UserId>,
+    /// Set when any chain's fetch fails with budget exhaustion. The shared
+    /// budget is the walk's driver: once it is spent, no unvisited node
+    /// can be fetched, so the reachable horizon is frozen and further
+    /// rounds would only resample memoized nodes (up to `max_steps` of
+    /// free-spinning, pure CPU). The whole walk ends at the end of the
+    /// round instead — deterministically, and *before* the next safe
+    /// point, so a resume from that checkpoint sees every chain done.
+    budget_dead: bool,
+}
+
+impl<'a, 'p> MultiSrw<'a, 'p> {
+    /// The executor, fresh or resumed from a [`SamplerState::MultiSrw`]
+    /// checkpoint taken with the same chain count.
+    pub(crate) fn new(
+        client: &'a mut CachingClient<'p>,
+        query: &'a AggregateQuery,
+        config: &MultiSrwConfig,
+        seed: u64,
+        resume: Option<&SamplerState>,
+    ) -> Result<Self, EstimateError> {
+        let resume = match resume {
+            None => None,
+            Some(SamplerState::MultiSrw(state)) => Some(state),
+            Some(_) => return Err(mismatch()),
+        };
+        let n = config.chains.max(1);
+        let walk = SrwWalk::new(client, query, &config.srw)?;
+        let chains = match resume {
+            Some(state) => {
+                if state.chains.len() != n {
+                    return Err(EstimateError::Unsupported(
+                        "checkpoint chain count does not match the configuration",
+                    ));
+                }
+                let restore = |c: &MultiChainState| {
+                    let rng = c.rng.to_chacha8()?;
+                    Some(Chain {
+                        rng,
+                        walk: SrwChain::restore(&c.walk),
+                        done: c.done,
+                    })
+                };
+                state
+                    .chains
+                    .iter()
+                    .map(restore)
+                    .collect::<Option<_>>()
+                    .ok_or(EstimateError::Unsupported(
+                        "checkpoint carries a malformed chain RNG state",
+                    ))?
             }
-            state
-                .chains
-                .iter()
-                .map(Chain::restore)
-                .collect::<Result<_, _>>()?
+            None => (0..n)
+                .map(|i| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(super::chain_seed(seed, i as u64));
+                    let walk = SrwChain::fresh(&walk.seeds, &mut rng);
+                    Chain {
+                        rng,
+                        walk,
+                        done: false,
+                    }
+                })
+                .collect(),
+        };
+        Ok(MultiSrw {
+            needs_level: matches!(config.srw.view, ViewKind::LevelByLevel { .. }),
+            walk,
+            chains,
+            order: round_order(seed, n),
+            announce_conns: Vec::new(),
+            announce_tls: Vec::new(),
+            budget_dead: false,
+        })
+    }
+}
+
+impl<'p> Sampler<'p> for MultiSrw<'_, 'p> {
+    fn client(&mut self) -> &mut CachingClient<'p> {
+        self.walk.graph.client_mut()
+    }
+
+    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+        let mut total = 0u64;
+        let mut chains = Vec::with_capacity(self.chains.len());
+        for c in &self.chains {
+            total += c.walk.total_steps as u64;
+            chains.push(MultiChainState {
+                rng: c.rng.rng_state()?,
+                walk: c.walk.snapshot(),
+                done: c.done,
+            });
         }
-        None => (0..n).map(|i| Chain::fresh(seed, i, &seeds)).collect(),
-    };
-    // Chain scheduling order: a deterministic function of the seed.
-    let order = round_order(seed, n);
-    let mut nbrs: Vec<UserId> = Vec::new();
-    let mut announce_conns: Vec<UserId> = Vec::new();
-    let mut announce_tls: Vec<UserId> = Vec::new();
-    let needs_level = matches!(config.srw.view, ViewKind::LevelByLevel { .. });
-    // Set when any chain's fetch fails with budget exhaustion. The shared
-    // budget is the walk's driver: once it is spent, no unvisited node can
-    // be fetched, so the reachable horizon is frozen and further rounds
-    // would only resample memoized nodes (up to `max_steps` of free-
-    // spinning, pure CPU). The whole walk ends at the next round boundary
-    // instead — deterministically, and *before* the checkpoint capture, so
-    // a resume from that checkpoint sees every chain already done.
-    let mut budget_dead = false;
-    loop {
-        if budget_dead {
-            for c in chains.iter_mut() {
-                c.done = true;
-            }
+        Some((total, SamplerState::MultiSrw(MultiSrwState { chains })))
+    }
+
+    /// One round.
+    fn step<R: CheckpointRng>(&mut self, _rng: &mut R) -> Result<Flow, EstimateError> {
+        if self.chains.iter().all(|c| c.done) {
+            return Ok(Flow::Stop);
         }
-        // Round boundary = the safe point: drain in-flight prefetches so
-        // the capture races nothing, then snapshot every chain.
-        ctl.tick(|| {
-            graph.client_mut().drain_prefetch();
-            let total: u64 = chains.iter().map(|c| c.total_steps as u64).sum();
-            let captured: Option<Vec<MultiChainState>> =
-                chains.iter().map(Chain::capture).collect();
-            Some((
-                total,
-                rng.rng_state()?,
-                graph.client().checkpoint_state(),
-                SamplerState::MultiSrw(MultiSrwState { chains: captured? }),
-            ))
-        });
-        if chains.iter().all(|c| c.done) {
-            break;
-        }
+        let config = self.walk.config;
         // Plan: announce what each live chain's next step will fetch.
         // `neighbors_into` always fetches connections first; the chain's
         // own timeline is only fetched on level views (membership of the
         // node itself) or when the step will sample it.
-        announce_conns.clear();
-        announce_tls.clear();
-        for &i in &order {
-            let c = &chains[i]; // ma-lint: allow(panic-safety) reason="order is a permutation of 0..chains.len()"
-            if c.done || c.total_steps >= config.srw.max_steps {
+        self.announce_conns.clear();
+        self.announce_tls.clear();
+        for &i in &self.order {
+            let c = &self.chains[i]; // ma-lint: allow(panic-safety) reason="order is a permutation of 0..chains.len()"
+            if c.done || c.walk.capped(&config) {
                 continue;
             }
-            announce_conns.push(c.current);
-            if needs_level || c.will_sample(&config.srw) {
-                announce_tls.push(c.current);
+            self.announce_conns.push(c.walk.current);
+            if self.needs_level || c.walk.will_sample(&config) {
+                self.announce_tls.push(c.walk.current);
             }
         }
-        graph.client_mut().announce_connections(&announce_conns);
-        graph.client_mut().announce_timelines(&announce_tls);
+        let client = self.walk.graph.client_mut();
+        client.announce_connections(&self.announce_conns);
+        client.announce_timelines(&self.announce_tls);
         // Warm sweep: resolve every planned connections fetch now
         // (consuming the prefetches announced above) and announce each
         // chain's candidate membership probes, so the per-chain timeline
@@ -403,31 +241,28 @@ pub fn estimate_recoverable<R: CheckpointRng>(
         // steps below consume them without re-issuing; with no sink the
         // sweep issues the identical call sequence serially, keeping
         // pipelined and sequential charging aligned.
-        for &i in &order {
-            let c = &chains[i]; // ma-lint: allow(panic-safety) reason="order is a permutation of 0..chains.len()"
-            if c.done || c.total_steps >= config.srw.max_steps {
+        for &i in &self.order {
+            let c = &self.chains[i]; // ma-lint: allow(panic-safety) reason="order is a permutation of 0..chains.len()"
+            if c.done || c.walk.capped(&config) {
                 continue;
             }
-            graph.prefetch_step(c.current);
+            self.walk.graph.prefetch_step(c.walk.current);
         }
         // Execute the planned steps in the same deterministic order.
-        for &i in &order {
-            let chain = &mut chains[i]; // ma-lint: allow(panic-safety) reason="order is a permutation of 0..chains.len()"
+        for &i in &self.order {
+            let chain = &mut self.chains[i]; // ma-lint: allow(panic-safety) reason="order is a permutation of 0..chains.len()"
             if chain.done {
                 continue;
             }
-            tracer.set_phase(chain.phase(&config.srw));
-            chain.step(
-                i,
-                &mut graph,
-                query,
-                &config.srw,
-                &seeds,
-                now,
-                &tracer,
-                &mut nbrs,
-                &mut budget_dead,
-            )?;
+            match chain.walk.step(&mut self.walk, i, &mut chain.rng) {
+                Ok(true) => {}
+                Ok(false) => chain.done = true,
+                Err(e) if e.ends_walk() => {
+                    self.budget_dead |= matches!(e, ApiError::BudgetExhausted { .. });
+                    chain.done = true;
+                }
+                Err(e) => return Err(e.into()),
+            }
             // Early plan: the transition just chosen fixes what the next
             // round fetches for this chain, so announce it immediately —
             // the fetch then overlaps the remainder of *this* round
@@ -435,39 +270,44 @@ pub fn estimate_recoverable<R: CheckpointRng>(
             // connections call. The start-of-round announce still runs
             // (announces dedup), covering resumes and restarts.
             if !chain.done {
-                let u = chain.current;
-                graph
-                    .client_mut()
-                    .announce_connections(std::slice::from_ref(&u));
-                if needs_level || chain.will_sample(&config.srw) {
-                    graph
-                        .client_mut()
-                        .announce_timelines(std::slice::from_ref(&u));
+                let u = std::slice::from_ref(&chain.walk.current);
+                let client = self.walk.graph.client_mut();
+                client.announce_connections(u);
+                if self.needs_level || chain.walk.will_sample(&config) {
+                    client.announce_timelines(u);
                 }
             }
         }
+        if self.budget_dead {
+            for c in &mut self.chains {
+                c.done = true;
+            }
+        }
+        Ok(Flow::Continue)
     }
 
-    // Pool per-chain estimates exactly like the parallel runner: plain
-    // average, cross-chain spread as the standard error.
-    let mut pooled = RunningStats::new();
-    let mut samples = 0usize;
-    for chain in &chains {
-        if let Some(v) = chain.accum.finalize(query) {
-            pooled.push(v);
-            samples += chain.accum.samples();
+    /// Pools the per-chain estimates: plain average, cross-chain spread as
+    /// the standard error.
+    fn finish(self) -> Result<Estimate, EstimateError> {
+        let mut pooled = RunningStats::new();
+        let mut samples = 0usize;
+        for chain in &self.chains {
+            if let Some(v) = chain.walk.accum.finalize(self.walk.query) {
+                pooled.push(v);
+                samples += chain.walk.accum.samples();
+            }
         }
+        if pooled.count() == 0 {
+            return Err(EstimateError::NoSamples);
+        }
+        Ok(Estimate {
+            value: pooled.mean(),
+            std_err: pooled.std_err(),
+            cost: self.walk.graph.cost(),
+            samples,
+            instances: pooled.count() as usize,
+        })
     }
-    if pooled.count() == 0 {
-        return Err(EstimateError::NoSamples);
-    }
-    Ok(Estimate {
-        value: pooled.mean(),
-        std_err: pooled.std_err(),
-        cost: graph.cost(),
-        samples,
-        instances: pooled.count() as usize,
-    })
 }
 
 #[cfg(test)]

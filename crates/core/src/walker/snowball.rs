@@ -8,6 +8,7 @@
 //! why the paper's estimators are walk-based. This module provides them as
 //! baselines so that bias is demonstrable.
 
+use super::{drive, mismatch, Flow, Sampler};
 use crate::checkpoint::{CheckpointCtl, CheckpointRng, SamplerState, SnowballState};
 use crate::error::EstimateError;
 use crate::estimate::Estimate;
@@ -15,8 +16,9 @@ use crate::query::{Aggregate, AggregateQuery};
 use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::CachingClient;
-use microblog_platform::UserId;
+use microblog_platform::{Timestamp, UserId};
 use rand::seq::SliceRandom;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
@@ -61,6 +63,11 @@ impl SnowballConfig {
     }
 }
 
+/// How many distinct upcoming crawl targets to announce per step, and
+/// how deep into the frontier to scan for them.
+const LOOKAHEAD: usize = 8;
+const SCAN: usize = 64;
+
 /// Crawls from the search seeds and estimates the aggregate from the raw
 /// (uncorrected) sample — the biased baseline.
 ///
@@ -73,168 +80,181 @@ pub fn estimate<R: CheckpointRng>(
     config: &SnowballConfig,
     rng: &mut R,
 ) -> Result<Estimate, EstimateError> {
-    estimate_recoverable(
-        client,
-        query,
-        config,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
+    let sampler = Snowball::new(client, query, config, rng, None)?;
+    drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// [`estimate`] with checkpointing: emits [`SamplerState::Snowball`]
-/// checkpoints through `ctl` and resumes bit-identically from `resume`
-/// (client memo and RNG restored by the caller).
-pub fn estimate_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    config: &SnowballConfig,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&SnowballState>,
-) -> Result<Estimate, EstimateError> {
-    let seeds = fetch_seeds(client, query)?;
-    let now = client.now();
-    let mut graph = QueryGraph::new(client, query, config.view);
+/// The crawl, checkpointed as [`SamplerState::Snowball`].
+pub(crate) struct Snowball<'a, 'p> {
+    graph: QueryGraph<'a, 'p>,
+    query: &'a AggregateQuery,
+    config: SnowballConfig,
+    now: Timestamp,
+    frontier: VecDeque<UserId>,
+    visited: HashSet<UserId>,
+    sum_num: f64,
+    sum_den: f64,
+    matches_count: usize,
+    samples: usize,
+    /// One neighbor buffer for the whole crawl.
+    nbrs: Vec<UserId>,
+    /// Upcoming crawl targets announced to an attached fetch pipeline.
+    lookahead: Vec<UserId>,
+}
 
-    let mut frontier: VecDeque<UserId> = VecDeque::new();
-    let mut visited: HashSet<UserId>;
-    let mut sum_num;
-    let mut sum_den;
-    let mut matches_count;
-    let mut samples;
-    match resume {
-        Some(state) => {
-            frontier.extend(state.frontier.iter().copied());
+impl<'a, 'p> Snowball<'a, 'p> {
+    /// The crawl, fresh (the shuffled seeds as its frontier) or resumed
+    /// from a [`SamplerState::Snowball`] checkpoint (client memo and RNG
+    /// restored by the caller).
+    pub(crate) fn new<R: Rng>(
+        client: &'a mut CachingClient<'p>,
+        query: &'a AggregateQuery,
+        config: &SnowballConfig,
+        rng: &mut R,
+        resume: Option<&SamplerState>,
+    ) -> Result<Self, EstimateError> {
+        let resume = match resume {
+            None => None,
+            Some(SamplerState::Snowball(state)) => Some(state),
+            Some(_) => return Err(mismatch()),
+        };
+        let seeds = fetch_seeds(client, query)?;
+        let now = client.now();
+        let fresh;
+        let state = match resume {
+            Some(state) => state,
+            None => {
+                let mut frontier = seeds;
+                frontier.shuffle(rng);
+                fresh = SnowballState {
+                    frontier,
+                    visited: Vec::new(),
+                    sum_num_bits: 0,
+                    sum_den_bits: 0,
+                    matches_count: 0,
+                    samples: 0,
+                };
+                &fresh
+            }
+        };
+        Ok(Snowball {
+            graph: QueryGraph::new(client, query, config.view),
+            query,
+            config: *config,
+            now,
+            frontier: state.frontier.iter().copied().collect(),
             // ma-lint: allow(determinism) reason="state.visited is the checkpoint's sorted Vec, not the hash set; Vec iteration is ordered"
-            visited = state.visited.iter().copied().collect();
-            sum_num = f64::from_bits(state.sum_num_bits);
-            sum_den = f64::from_bits(state.sum_den_bits);
-            matches_count = state.matches_count as usize;
-            samples = state.samples as usize;
-        }
-        None => {
-            let mut shuffled = seeds.clone();
-            shuffled.shuffle(rng);
-            frontier.extend(shuffled);
-            visited = HashSet::new();
-            sum_num = 0.0;
-            sum_den = 0.0;
-            matches_count = 0usize;
-            samples = 0usize;
-        }
+            visited: state.visited.iter().copied().collect(),
+            sum_num: f64::from_bits(state.sum_num_bits),
+            sum_den: f64::from_bits(state.sum_den_bits),
+            matches_count: state.matches_count as usize,
+            samples: state.samples as usize,
+            nbrs: Vec::new(),
+            lookahead: Vec::new(),
+        })
     }
-    // One neighbor buffer for the whole crawl.
-    let mut nbrs: Vec<UserId> = Vec::new();
-    // Upcoming crawl targets announced to an attached fetch pipeline.
-    let mut lookahead: Vec<UserId> = Vec::new();
-    // How many distinct upcoming targets to announce per iteration, and
-    // how deep into the frontier to scan for them.
-    const LOOKAHEAD: usize = 8;
-    const SCAN: usize = 64;
+}
 
-    loop {
-        // Safe point, before the next frontier pop.
-        ctl.tick(|| {
-            graph.client_mut().drain_prefetch();
-            // ma-lint: allow(determinism) reason="collected then sorted on the next line; hash order cannot reach the checkpoint bytes"
-            let mut sorted: Vec<UserId> = visited.iter().copied().collect();
-            sorted.sort_unstable_by_key(|u| u.0);
-            Some((
-                samples as u64,
-                rng.rng_state()?,
-                graph.client().checkpoint_state(),
-                SamplerState::Snowball(SnowballState {
-                    frontier: frontier.iter().copied().collect(),
-                    visited: sorted,
-                    sum_num_bits: sum_num.to_bits(),
-                    sum_den_bits: sum_den.to_bits(),
-                    matches_count: matches_count as u64,
-                    samples: samples as u64,
-                }),
-            ))
-        });
+impl<'p> Sampler<'p> for Snowball<'_, 'p> {
+    fn client(&mut self) -> &mut CachingClient<'p> {
+        self.graph.client_mut()
+    }
+
+    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+        // ma-lint: allow(determinism) reason="collected then sorted on the next line; hash order cannot reach the checkpoint bytes"
+        let mut visited: Vec<UserId> = self.visited.iter().copied().collect();
+        visited.sort_unstable_by_key(|u| u.0);
+        let state = SnowballState {
+            frontier: self.frontier.iter().copied().collect(),
+            visited,
+            sum_num_bits: self.sum_num.to_bits(),
+            sum_den_bits: self.sum_den.to_bits(),
+            matches_count: self.matches_count as u64,
+            samples: self.samples as u64,
+        };
+        Some((self.samples as u64, SamplerState::Snowball(state)))
+    }
+
+    /// One frontier pop.
+    fn step<R: CheckpointRng>(&mut self, rng: &mut R) -> Result<Flow, EstimateError> {
         // Announce the next few crawl targets so an attached pipeline
         // overlaps their RTTs. Scanning in pop order and keeping only the
         // first unvisited occurrence of each node announces exactly nodes
         // that *will* be crawled, barring a crawl-ending error: `visited`
         // only grows by popping, so a first occurrence cannot be skipped.
-        lookahead.clear();
+        self.lookahead.clear();
         {
+            let (visited, lookahead) = (&self.visited, &mut self.lookahead);
             let mut scan = |u: UserId| {
                 if lookahead.len() < LOOKAHEAD && !visited.contains(&u) && !lookahead.contains(&u) {
                     lookahead.push(u);
                 }
             };
-            match config.order {
-                CrawlOrder::Bfs => frontier.iter().take(SCAN).for_each(|&u| scan(u)),
-                CrawlOrder::Dfs => frontier.iter().rev().take(SCAN).for_each(|&u| scan(u)),
+            match self.config.order {
+                CrawlOrder::Bfs => self.frontier.iter().take(SCAN).for_each(|&u| scan(u)),
+                CrawlOrder::Dfs => self.frontier.iter().rev().take(SCAN).for_each(|&u| scan(u)),
             }
         }
-        graph.client_mut().announce_connections(&lookahead);
-        graph.client_mut().announce_timelines(&lookahead);
-        let Some(u) = (match config.order {
-            CrawlOrder::Bfs => frontier.pop_front(),
-            CrawlOrder::Dfs => frontier.pop_back(),
-        }) else {
-            break;
+        let client = self.graph.client_mut();
+        client.announce_connections(&self.lookahead);
+        client.announce_timelines(&self.lookahead);
+        let popped = match self.config.order {
+            CrawlOrder::Bfs => self.frontier.pop_front(),
+            CrawlOrder::Dfs => self.frontier.pop_back(),
         };
-        if !visited.insert(u) {
-            continue;
+        let Some(u) = popped else {
+            return Ok(Flow::Stop);
+        };
+        if !self.visited.insert(u) {
+            return Ok(Flow::Continue);
         }
-        let view = match graph.view(u) {
-            Ok(v) => v,
-            Err(e) if e.ends_walk() => break,
-            Err(e) => return Err(e.into()),
-        };
-        let (matched, num, den) = query.sample_values(&view, now);
-        sum_num += num;
-        sum_den += den;
-        matches_count += matched as usize;
-        samples += 1;
-        if samples >= config.max_nodes {
-            break;
+        let view = self.graph.view(u)?;
+        let (matched, num, den) = self.query.sample_values(&view, self.now);
+        self.sum_num += num;
+        self.sum_den += den;
+        self.matches_count += matched as usize;
+        self.samples += 1;
+        if self.samples >= self.config.max_nodes {
+            return Ok(Flow::Stop);
         }
-        match graph.neighbors_into(u, &mut nbrs) {
-            Ok(()) => {}
-            Err(e) if e.ends_walk() => break,
-            Err(e) => return Err(e.into()),
-        };
-        nbrs.shuffle(rng);
-        for &v in &nbrs {
-            if !visited.contains(&v) {
-                frontier.push_back(v);
+        self.graph.neighbors_into(u, &mut self.nbrs)?;
+        self.nbrs.shuffle(rng);
+        for &v in &self.nbrs {
+            if !self.visited.contains(&v) {
+                self.frontier.push_back(v);
             }
         }
+        Ok(Flow::Continue)
     }
 
-    if samples == 0 {
-        return Err(EstimateError::NoSamples);
+    fn finish(self) -> Result<Estimate, EstimateError> {
+        if self.samples == 0 {
+            return Err(EstimateError::NoSamples);
+        }
+        let value = match self.query.aggregate {
+            Aggregate::Count => self.matches_count as f64,
+            Aggregate::Sum(_) => self.sum_num,
+            Aggregate::Avg(_) => {
+                if self.matches_count == 0 {
+                    return Err(EstimateError::NoSamples);
+                }
+                self.sum_num / self.matches_count as f64
+            }
+            Aggregate::RatioOfSums { .. } => {
+                if self.sum_den == 0.0 {
+                    return Err(EstimateError::NoSamples);
+                }
+                self.sum_num / self.sum_den
+            }
+        };
+        Ok(Estimate {
+            value,
+            std_err: None,
+            cost: self.graph.cost(),
+            samples: self.samples,
+            instances: 1,
+        })
     }
-    let value = match query.aggregate {
-        Aggregate::Count => matches_count as f64,
-        Aggregate::Sum(_) => sum_num,
-        Aggregate::Avg(_) => {
-            if matches_count == 0 {
-                return Err(EstimateError::NoSamples);
-            }
-            sum_num / matches_count as f64
-        }
-        Aggregate::RatioOfSums { .. } => {
-            if sum_den == 0.0 {
-                return Err(EstimateError::NoSamples);
-            }
-            sum_num / sum_den
-        }
-    };
-    Ok(Estimate {
-        value,
-        std_err: None,
-        cost: graph.cost(),
-        samples,
-        instances: 1,
-    })
 }
 
 #[cfg(test)]

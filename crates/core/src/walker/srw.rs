@@ -7,21 +7,30 @@
 //! estimate of the walked graph. Run over [`ViewKind::level`] this is the
 //! paper's **MA-SRW**; over [`ViewKind::TermInduced`] /
 //! [`ViewKind::FullGraph`] it is the respective baseline of Figures 2–3.
+//!
+//! [`SrwChain::step`] is the one SRW step body: the solo walk ([`Srw`])
+//! steps a single chain with the run's RNG, the interleaved executor
+//! ([`super::multi`]) steps many chains with their own.
 
+use super::{drive, mismatch, Flow, SampleAccumulator, Sampler};
 use crate::checkpoint::{CheckpointCtl, CheckpointRng, SamplerState, SrwState};
 use crate::error::EstimateError;
 use crate::estimate::{Estimate, RunningStats};
 use crate::query::AggregateQuery;
 use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
-use microblog_api::CachingClient;
+use microblog_api::{ApiError, CachingClient};
 use microblog_graph::diagnostics::geweke_z_default;
-use microblog_obs::{Category, FieldValue, WalkPhase};
-use microblog_platform::UserId;
+use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_platform::{Timestamp, UserId};
+use rand::Rng;
 
 /// Emit a running Geweke z-score every this many kept samples (tracing
 /// only; the chain history is not accumulated otherwise).
 const GEWEKE_EVERY: usize = 32;
+
+/// Batch size of the batch-mean standard error.
+const BATCH: usize = 64;
 
 /// Configuration of the simple-random-walk estimator.
 #[derive(Clone, Copy, Debug)]
@@ -64,204 +73,290 @@ pub fn estimate<R: CheckpointRng>(
     config: &SrwConfig,
     rng: &mut R,
 ) -> Result<Estimate, EstimateError> {
-    estimate_recoverable(
-        client,
-        query,
-        config,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
+    let sampler = Srw::new(client, query, config, rng, None)?;
+    drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// [`estimate`] with checkpointing: emits a [`SamplerState::Srw`]
-/// checkpoint through `ctl` at its cadence, and resumes bit-identically
-/// from `resume` (the caller must have restored the client memo and RNG
-/// from the same checkpoint first).
-pub fn estimate_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    config: &SrwConfig,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&SrwState>,
-) -> Result<Estimate, EstimateError> {
-    let tracer = client.tracer().clone();
-    let seeds = fetch_seeds(client, query)?;
-    let now = client.now();
-    let mut graph = QueryGraph::new(client, query, config.view);
-    let mut accum;
-    // Batch means for a standard error on AVG-style outputs.
-    let mut batch;
-    let mut batch_accum;
-    const BATCH: usize = 64;
+/// What every SRW chain of a run shares: the view, the query, the seeds
+/// and the neighbor buffer (one allocation for the whole walk once it has
+/// grown to the view's maximum degree).
+pub(crate) struct SrwWalk<'a, 'p> {
+    pub(crate) graph: QueryGraph<'a, 'p>,
+    pub(crate) query: &'a AggregateQuery,
+    pub(crate) config: SrwConfig,
+    pub(crate) seeds: Vec<UserId>,
+    now: Timestamp,
+    tracer: Tracer,
+    nbrs: Vec<UserId>,
+}
 
-    let mut current;
-    let mut step_in_chain;
-    let mut total_steps;
-    let mut kept;
-    match resume {
-        Some(state) => {
-            accum = super::SampleAccumulator::restore(&state.accum);
-            batch = RunningStats::restore(state.batch);
-            batch_accum = super::SampleAccumulator::restore(&state.batch_accum);
-            current = state.current;
-            step_in_chain = state.step_in_chain as usize;
-            total_steps = state.total_steps as usize;
-            kept = state.kept as usize;
-        }
-        None => {
-            accum = super::SampleAccumulator::new();
-            batch = RunningStats::new();
-            batch_accum = super::SampleAccumulator::new();
-            current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            step_in_chain = 0usize;
-            total_steps = 0usize;
-            kept = 0usize;
+impl<'a, 'p> SrwWalk<'a, 'p> {
+    /// Fetches the seeds and opens the view.
+    pub(crate) fn new(
+        client: &'a mut CachingClient<'p>,
+        query: &'a AggregateQuery,
+        config: &SrwConfig,
+    ) -> Result<Self, EstimateError> {
+        let tracer = client.tracer().clone();
+        let seeds = fetch_seeds(client, query)?;
+        let now = client.now();
+        Ok(SrwWalk {
+            graph: QueryGraph::new(client, query, config.view),
+            query,
+            config: *config,
+            seeds,
+            now,
+            tracer,
+            nbrs: Vec::new(),
+        })
+    }
+}
+
+/// One simple-random-walk chain: the in-memory form of [`SrwState`].
+pub(crate) struct SrwChain {
+    pub(crate) current: UserId,
+    step_in_chain: usize,
+    pub(crate) total_steps: usize,
+    kept: usize,
+    pub(crate) accum: SampleAccumulator,
+    /// Batch means for a standard error on AVG-style outputs.
+    batch: RunningStats,
+    batch_accum: SampleAccumulator,
+    /// Per-sample numerators for the running Geweke convergence check:
+    /// kept by the solo walk only, and filled only while tracing.
+    history: Option<Vec<f64>>,
+}
+
+impl SrwChain {
+    /// A chain starting at a random seed drawn from `rng`.
+    pub(crate) fn fresh<R: Rng>(seeds: &[UserId], rng: &mut R) -> Self {
+        let current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
+        SrwChain {
+            current,
+            step_in_chain: 0,
+            total_steps: 0,
+            kept: 0,
+            accum: SampleAccumulator::new(),
+            batch: RunningStats::new(),
+            batch_accum: SampleAccumulator::new(),
+            history: None,
         }
     }
-    let mut phase = if config.burn_in > 0 && step_in_chain < config.burn_in {
-        WalkPhase::BurnIn
-    } else {
-        WalkPhase::Walk
-    };
-    tracer.set_phase(phase);
-    // Per-sample numerators for the running Geweke convergence check
-    // (only accumulated while tracing).
-    let mut chain: Vec<f64> = Vec::new();
-    // One neighbor buffer for the whole walk — the step loop allocates
-    // nothing once the buffer has grown to the view's maximum degree.
-    let mut nbrs: Vec<UserId> = Vec::new();
-    loop {
-        // The top of the loop is the safe point: the captured tuple fully
-        // determines the remainder of the walk. Draining first guarantees
-        // the capture cannot race an announced-but-unfinished prefetch.
-        ctl.tick(|| {
-            graph.client_mut().drain_prefetch();
-            Some((
-                total_steps as u64,
-                rng.rng_state()?,
-                graph.client().checkpoint_state(),
-                SamplerState::Srw(SrwState {
-                    current,
-                    step_in_chain: step_in_chain as u64,
-                    total_steps: total_steps as u64,
-                    kept: kept as u64,
-                    accum: accum.snapshot(),
-                    batch: batch.snapshot(),
-                    batch_accum: batch_accum.snapshot(),
-                }),
-            ))
-        });
-        if total_steps >= config.max_steps {
-            break;
+
+    /// The chain a checkpoint captured.
+    pub(crate) fn restore(state: &SrwState) -> Self {
+        SrwChain {
+            current: state.current,
+            step_in_chain: state.step_in_chain as usize,
+            total_steps: state.total_steps as usize,
+            kept: state.kept as usize,
+            accum: SampleAccumulator::restore(&state.accum),
+            batch: RunningStats::restore(state.batch),
+            batch_accum: SampleAccumulator::restore(&state.batch_accum),
+            history: None,
         }
-        total_steps += 1;
-        match graph.neighbors_into(current, &mut nbrs) {
-            Ok(()) => {}
-            Err(e) if e.ends_walk() => break,
-            Err(e) => return Err(e.into()),
-        };
-        if phase == WalkPhase::BurnIn && step_in_chain >= config.burn_in {
+    }
+
+    pub(crate) fn snapshot(&self) -> SrwState {
+        SrwState {
+            current: self.current,
+            step_in_chain: self.step_in_chain as u64,
+            total_steps: self.total_steps as u64,
+            kept: self.kept as u64,
+            accum: self.accum.snapshot(),
+            batch: self.batch.snapshot(),
+            batch_accum: self.batch_accum.snapshot(),
+        }
+    }
+
+    /// Whether the chain has taken its last step.
+    pub(crate) fn capped(&self, config: &SrwConfig) -> bool {
+        self.total_steps >= config.max_steps
+    }
+
+    /// Whether the *next* step will hit the sampling branch — the
+    /// interleaved planner uses it to decide if the chain's own timeline
+    /// must be announced.
+    pub(crate) fn will_sample(&self, config: &SrwConfig) -> bool {
+        self.step_in_chain >= config.burn_in
+            && self.step_in_chain.is_multiple_of(config.thinning.max(1))
+    }
+
+    /// Advances the chain by one transition. `Ok(false)` means the chain
+    /// is at its step cap and did not move; API errors, walk-ending ones
+    /// included, propagate for the caller to settle. `index` labels the
+    /// chain's trace events.
+    pub(crate) fn step<R: Rng>(
+        &mut self,
+        walk: &mut SrwWalk<'_, '_>,
+        index: usize,
+        rng: &mut R,
+    ) -> Result<bool, ApiError> {
+        let config = walk.config;
+        if self.capped(&config) {
+            return Ok(false);
+        }
+        let tracer = &walk.tracer;
+        tracer.set_phase(if self.step_in_chain < config.burn_in {
+            WalkPhase::BurnIn
+        } else {
+            WalkPhase::Walk
+        });
+        self.total_steps += 1;
+        walk.graph.neighbors_into(self.current, &mut walk.nbrs)?;
+        let nbrs = &walk.nbrs;
+        // `step_in_chain` moves by single increments (restarts reset it
+        // below burn-in), so the crossing iteration is exactly `== burn_in`.
+        if config.burn_in > 0 && self.step_in_chain == config.burn_in {
             tracer.emit(
                 Category::Walk,
                 "burnin_end",
                 &[
-                    ("step", FieldValue::from(total_steps)),
-                    ("chain_step", FieldValue::from(step_in_chain)),
+                    ("chain", FieldValue::from(index)),
+                    ("step", FieldValue::from(self.total_steps)),
+                    ("chain_step", FieldValue::from(self.step_in_chain)),
                 ],
             );
-            phase = WalkPhase::Walk;
-            tracer.set_phase(phase);
         }
-        if step_in_chain >= config.burn_in && step_in_chain.is_multiple_of(config.thinning.max(1)) {
-            let view = match graph.view(current) {
-                Ok(v) => v,
-                Err(e) if e.ends_walk() => break,
-                Err(e) => return Err(e.into()),
-            };
-            let (matches, num, den) = query.sample_values(&view, now);
-            let collide =
-                query.needs_size_estimate() && kept.is_multiple_of(config.collision_spacing.max(1));
-            accum.push(current.0, nbrs.len(), matches, num, den, collide);
-            batch_accum.push(current.0, nbrs.len(), matches, num, den, false);
-            kept += 1;
+        if self.will_sample(&config) {
+            let view = walk.graph.view(self.current)?;
+            let (matches, num, den) = walk.query.sample_values(&view, walk.now);
+            let collide = walk.query.needs_size_estimate()
+                && self.kept.is_multiple_of(config.collision_spacing.max(1));
+            let (u, d) = (self.current.0, nbrs.len());
+            self.accum.push(u, d, matches, num, den, collide);
+            self.batch_accum.push(u, d, matches, num, den, false);
+            self.kept += 1;
             tracer.emit(
                 Category::Walk,
                 "sample",
                 &[
-                    ("node", FieldValue::from(current.0)),
-                    ("degree", FieldValue::from(nbrs.len())),
+                    ("chain", FieldValue::from(index)),
+                    ("node", FieldValue::from(u)),
+                    ("degree", FieldValue::from(d)),
                     ("matches", FieldValue::U64(u64::from(matches))),
                     ("collide", FieldValue::U64(u64::from(collide))),
                 ],
             );
-            if tracer.is_enabled() {
-                chain.push(num);
-                if chain.len().is_multiple_of(GEWEKE_EVERY) {
-                    if let Some(z) = geweke_z_default(&chain) {
+            if let (Some(history), true) = (&mut self.history, tracer.is_enabled()) {
+                history.push(num);
+                if history.len().is_multiple_of(GEWEKE_EVERY) {
+                    if let Some(z) = geweke_z_default(history) {
                         tracer.emit(
                             Category::Diag,
                             "geweke",
                             &[
                                 ("z", FieldValue::F64(z)),
-                                ("kept", FieldValue::from(chain.len())),
+                                ("kept", FieldValue::from(history.len())),
                             ],
                         );
                     }
                 }
             }
-            if batch_accum.samples() >= BATCH {
-                if let Some(v) = batch_accum.finalize(query) {
-                    batch.push(v);
+            if self.batch_accum.samples() >= BATCH {
+                if let Some(v) = self.batch_accum.finalize(walk.query) {
+                    self.batch.push(v);
                 }
-                batch_accum = super::SampleAccumulator::new();
+                self.batch_accum = SampleAccumulator::new();
             }
         }
         if nbrs.is_empty() {
-            // Dangling under this view: restart a fresh chain.
+            // Dangling under this view: restart the chain from a seed.
             tracer.emit(
                 Category::Walk,
                 "restart",
                 &[
-                    ("node", FieldValue::from(current.0)),
-                    ("step", FieldValue::from(total_steps)),
+                    ("chain", FieldValue::from(index)),
+                    ("node", FieldValue::from(self.current.0)),
+                    ("step", FieldValue::from(self.total_steps)),
                 ],
             );
-            current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            step_in_chain = 0;
-            if config.burn_in > 0 && phase != WalkPhase::BurnIn {
-                phase = WalkPhase::BurnIn;
-                tracer.set_phase(phase);
-            }
-            continue;
+            self.current = walk.seeds[rng.gen_range(0..walk.seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
+            self.step_in_chain = 0;
+            return Ok(true);
         }
         let next = nbrs[rng.gen_range(0..nbrs.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
         tracer.emit(
             Category::Walk,
             "step",
             &[
-                ("from", FieldValue::from(current.0)),
+                ("chain", FieldValue::from(index)),
+                ("from", FieldValue::from(self.current.0)),
                 ("to", FieldValue::from(next.0)),
                 ("degree", FieldValue::from(nbrs.len())),
             ],
         );
-        current = next;
-        step_in_chain += 1;
+        self.current = next;
+        self.step_in_chain += 1;
+        Ok(true)
+    }
+}
+
+/// The solo simple random walk: one chain on the run's RNG, checkpointed
+/// as [`SamplerState::Srw`].
+pub(crate) struct Srw<'a, 'p> {
+    walk: SrwWalk<'a, 'p>,
+    chain: SrwChain,
+}
+
+impl<'a, 'p> Srw<'a, 'p> {
+    /// A solo walk, fresh or resumed from an [`SamplerState::Srw`]
+    /// checkpoint (the caller has restored the client memo and RNG from
+    /// the same checkpoint).
+    pub(crate) fn new<R: Rng>(
+        client: &'a mut CachingClient<'p>,
+        query: &'a AggregateQuery,
+        config: &SrwConfig,
+        rng: &mut R,
+        resume: Option<&SamplerState>,
+    ) -> Result<Self, EstimateError> {
+        let resume = match resume {
+            None => None,
+            Some(SamplerState::Srw(state)) => Some(state),
+            Some(_) => return Err(mismatch()),
+        };
+        let walk = SrwWalk::new(client, query, config)?;
+        let mut chain = match resume {
+            Some(state) => SrwChain::restore(state),
+            None => SrwChain::fresh(&walk.seeds, rng),
+        };
+        chain.history = Some(Vec::new());
+        Ok(Srw { walk, chain })
+    }
+}
+
+impl<'p> Sampler<'p> for Srw<'_, 'p> {
+    fn client(&mut self) -> &mut CachingClient<'p> {
+        self.walk.graph.client_mut()
     }
 
-    let value = accum.finalize(query).ok_or(EstimateError::NoSamples)?;
-    Ok(Estimate {
-        value,
-        std_err: if batch.count() >= 2 {
-            batch.std_err()
+    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+        let state = self.chain.snapshot();
+        Some((state.total_steps, SamplerState::Srw(state)))
+    }
+
+    fn step<R: CheckpointRng>(&mut self, rng: &mut R) -> Result<Flow, EstimateError> {
+        Ok(if self.chain.step(&mut self.walk, 0, rng)? {
+            Flow::Continue
         } else {
-            None
-        },
-        cost: graph.cost(),
-        samples: accum.samples(),
-        instances: 1,
-    })
+            Flow::Stop
+        })
+    }
+
+    fn finish(self) -> Result<Estimate, EstimateError> {
+        let chain = &self.chain;
+        let value = chain
+            .accum
+            .finalize(self.walk.query)
+            .ok_or(EstimateError::NoSamples)?;
+        Ok(Estimate {
+            value,
+            std_err: chain.batch.std_err(),
+            cost: self.walk.graph.cost(),
+            samples: chain.accum.samples(),
+            instances: 1,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -23,10 +23,11 @@
 //! COUNT totals across instances. Root probabilities can be cached and
 //! reused across instances (§5.2's "single cache" optimization).
 
+use super::{drive, mismatch, Flow, Sampler};
 use crate::checkpoint::{CheckpointCtl, CheckpointRng, InstanceState, SamplerState, TarwState};
 use crate::error::EstimateError;
 use crate::estimate::{Estimate, RunningStats};
-use crate::interval::select_interval_recoverable;
+use crate::interval::{selected, Pilots, CANDIDATES};
 use crate::query::{Aggregate, AggregateQuery};
 use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
@@ -123,142 +124,180 @@ pub fn estimate<R: CheckpointRng>(
     config: &TarwConfig,
     rng: &mut R,
 ) -> Result<Estimate, EstimateError> {
-    estimate_recoverable(
-        client,
-        query,
-        config,
-        rng,
-        &mut CheckpointCtl::disabled(),
-        None,
-    )
+    let sampler = Tarw::new(client, query, config, None)?;
+    drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// [`estimate`] with checkpointing: emits [`SamplerState::Pilot`]
-/// checkpoints during interval selection and [`SamplerState::Tarw`]
-/// checkpoints between walk instances, and resumes bit-identically from
-/// either (client memo and RNG restored by the caller).
-pub fn estimate_recoverable<R: CheckpointRng>(
-    client: &mut CachingClient<'_>,
-    query: &AggregateQuery,
-    config: &TarwConfig,
-    rng: &mut R,
-    ctl: &mut CheckpointCtl<'_>,
-    resume: Option<&SamplerState>,
-) -> Result<Estimate, EstimateError> {
-    let tracer = client.tracer().clone();
-    let seeds = fetch_seeds(client, query)?;
-    let (interval, tarw_resume) = match resume {
-        Some(SamplerState::Tarw(state)) => {
+/// MA-TARW as a sampler: with no configured interval, its first phase is
+/// interval selection — one pilot walk per step, checkpointed as
+/// [`SamplerState::Pilot`] — and then one walk instance per step,
+/// checkpointed as [`SamplerState::Tarw`].
+pub(crate) struct Tarw<'a, 'p> {
+    graph: QueryGraph<'a, 'p>,
+    query: &'a AggregateQuery,
+    seeds: Vec<UserId>,
+    tracer: Tracer,
+    p_mode: PMode,
+    pilot_steps: usize,
+    max_instances: usize,
+    /// The interval-selection sweep while it runs.
+    pilots: Option<Pilots>,
+    /// The level interval the walk runs on, once selected.
+    interval: Duration,
+    prob: ProbabilityEstimator,
+    next_instance: usize,
+    instances: Vec<InstanceSums>,
+    /// Path buffers reused across instances, so a bottom-top-bottom pass
+    /// allocates nothing once the walker has warmed up.
+    up_path: Vec<UserId>,
+    down_path: Vec<UserId>,
+}
+
+impl<'a, 'p> Tarw<'a, 'p> {
+    /// The walk, fresh or resumed from a [`SamplerState::Pilot`] or
+    /// [`SamplerState::Tarw`] checkpoint (client memo and RNG restored by
+    /// the caller).
+    pub(crate) fn new(
+        client: &'a mut CachingClient<'p>,
+        query: &'a AggregateQuery,
+        config: &TarwConfig,
+        resume: Option<&SamplerState>,
+    ) -> Result<Self, EstimateError> {
+        let (interval, pilot, tarw) = match resume {
+            None => (config.interval, None, None),
             // Interval selection (if any) already happened before the
             // checkpoint; its RNG draws are baked into the restored RNG.
-            (Duration(state.interval_secs), Some(state))
+            Some(SamplerState::Tarw(state)) => {
+                (Some(Duration(state.interval_secs)), None, Some(state))
+            }
+            Some(SamplerState::Pilot(state)) => (None, Some(state), None),
+            Some(_) => return Err(mismatch()),
+        };
+        let tracer = client.tracer().clone();
+        let seeds = fetch_seeds(client, query)?;
+        let cache = matches!(config.p_mode, PMode::Sampled { cache: true, .. });
+        let mut prob = ProbabilityEstimator::new(&seeds, cache);
+        let mut instances = Vec::new();
+        let mut next_instance = 0;
+        if let Some(state) = tarw {
+            instances = state.instances.iter().map(InstanceSums::restore).collect();
+            next_instance = state.next_instance as usize;
+            // Exact-mode memos are *not* checkpointed: they recompute free
+            // from the restored client memo and consume no randomness. The
+            // sampled-mode draw caches do consume RNG, so they round-trip.
+            prob.restore_caches(&state.up_cache, &state.down_cache);
         }
-        Some(SamplerState::Pilot(pilot)) => {
-            let interval = select_interval_recoverable(
-                client,
-                query,
-                &seeds,
-                config.pilot_steps,
-                rng,
-                ctl,
-                Some(pilot),
-            )?
-            .interval;
-            (interval, None)
-        }
-        Some(_) => {
-            return Err(EstimateError::Unsupported(
-                "checkpoint does not belong to MA-TARW",
-            ))
-        }
-        None => {
-            let interval = match config.interval {
-                Some(t) => t,
-                None => {
-                    select_interval_recoverable(
-                        client,
-                        query,
-                        &seeds,
-                        config.pilot_steps,
-                        rng,
-                        ctl,
-                        None,
-                    )?
-                    .interval
-                }
-            };
-            (interval, None)
-        }
-    };
-    let mut graph = QueryGraph::new(client, query, ViewKind::level(interval));
-    let cache = matches!(config.p_mode, PMode::Sampled { cache: true, .. });
-    let mut walker = TarwWalker {
-        graph: &mut graph,
-        prob: ProbabilityEstimator::new(&seeds, cache),
-        seeds: &seeds,
-        p_mode: config.p_mode,
-        query,
-        tracer: tracer.clone(),
-        up_path: Vec::new(),
-        down_path: Vec::new(),
-    };
+        // While the pilots run, each re-points the view at its candidate;
+        // the winner's level view replaces them.
+        let pilots = interval
+            .is_none()
+            .then(|| Pilots::new(&tracer, CANDIDATES.len(), pilot));
+        let view = interval.map_or(ViewKind::FullGraph, ViewKind::level);
+        Ok(Tarw {
+            graph: QueryGraph::new(client, query, view),
+            query,
+            seeds,
+            tracer,
+            p_mode: config.p_mode,
+            pilot_steps: config.pilot_steps,
+            max_instances: config.max_instances,
+            pilots,
+            interval: interval.unwrap_or(Duration(0)),
+            prob,
+            next_instance,
+            instances,
+            up_path: Vec::new(),
+            down_path: Vec::new(),
+        })
+    }
 
-    let mut instances: Vec<InstanceSums> = Vec::new();
-    let mut start = 0usize;
-    if let Some(state) = tarw_resume {
-        instances = state.instances.iter().map(InstanceSums::restore).collect();
-        start = state.next_instance as usize;
-        // Exact-mode memos are *not* checkpointed: they recompute free
-        // from the restored client memo and consume no randomness. The
-        // sampled-mode draw caches do consume RNG, so they round-trip.
-        walker
-            .prob
-            .restore_caches(&state.up_cache, &state.down_cache);
+    /// Continue while instances remain: the last one ends the walk
+    /// without a further safe point.
+    fn flow(&self) -> Flow {
+        if self.next_instance < self.max_instances {
+            Flow::Continue
+        } else {
+            Flow::Stop
+        }
     }
-    for i in start..config.max_instances {
-        // Safe point between instances.
-        ctl.tick(|| {
-            walker.graph.client_mut().drain_prefetch();
-            Some((
-                i as u64,
-                rng.rng_state()?,
-                walker.graph.client().checkpoint_state(),
-                SamplerState::Tarw(TarwState {
-                    interval_secs: interval.0,
-                    next_instance: i as u64,
-                    instances: instances.iter().map(InstanceSums::snapshot).collect(),
-                    up_cache: walker.prob.up_cache_state(),
-                    down_cache: walker.prob.down_cache_state(),
-                }),
-            ))
-        });
-        let span = tracer.span_start(
-            Category::Walk,
-            "tarw_instance",
-            &[("instance", FieldValue::from(i))],
+
+    /// Runs the next candidate's pilot walk; after the last one (or when
+    /// the budget runs out mid-sweep) selects the interval and points the
+    /// view at it.
+    fn pilot_step<R: Rng>(
+        &mut self,
+        mut pilots: Pilots,
+        rng: &mut R,
+    ) -> Result<Flow, EstimateError> {
+        let interval = CANDIDATES[pilots.scored()]; // ma-lint: allow(panic-safety) reason="the sweep ends when every candidate is scored, so scored() < CANDIDATES.len() here"
+        let scored = pilots.score(
+            &mut self.graph,
+            self.query,
+            interval,
+            &self.seeds,
+            self.pilot_steps,
+            rng,
         );
-        let outcome = walker.run_instance(rng);
-        if tracer.is_enabled() {
-            let label = match &outcome {
-                Ok(Some(_)) => "ok",
-                Ok(None) => "degenerate",
-                Err(_) => "error",
-            };
-            tracer.span_end(
-                Category::Walk,
-                "tarw_instance",
-                span,
-                &[("outcome", FieldValue::from(label))],
-            );
+        match scored {
+            Ok(()) if pilots.scored() < CANDIDATES.len() => {
+                self.pilots = Some(pilots);
+                return Ok(Flow::Continue);
+            }
+            Ok(()) => {}
+            Err(e) if e.ends_walk() => {}
+            Err(e) => {
+                pilots.close();
+                return Err(e.into());
+            }
         }
-        match outcome {
-            Ok(Some(sums)) => instances.push(sums),
-            Ok(None) => {} // degenerate instance (seed not a member)
-            Err(e) if e.ends_walk() => break,
-            Err(e) => return Err(e.into()),
-        }
+        self.interval = selected(&self.tracer, &pilots.rank()?).interval;
+        self.graph
+            .set_view(self.query, ViewKind::level(self.interval));
+        Ok(self.flow())
     }
-    finalize(query, &instances, walker.graph.cost())
+}
+
+impl<'p> Sampler<'p> for Tarw<'_, 'p> {
+    fn client(&mut self) -> &mut CachingClient<'p> {
+        self.graph.client_mut()
+    }
+
+    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+        Some(match &self.pilots {
+            Some(pilots) => (pilots.scored() as u64, SamplerState::Pilot(pilots.state())),
+            None => (
+                self.next_instance as u64,
+                SamplerState::Tarw(TarwState {
+                    interval_secs: self.interval.0,
+                    next_instance: self.next_instance as u64,
+                    instances: self.instances.iter().map(InstanceSums::snapshot).collect(),
+                    up_cache: self.prob.up_cache_state(),
+                    down_cache: self.prob.down_cache_state(),
+                }),
+            ),
+        })
+    }
+
+    /// One pilot walk while selecting the interval, then one instance.
+    fn step<R: CheckpointRng>(&mut self, rng: &mut R) -> Result<Flow, EstimateError> {
+        if let Some(pilots) = self.pilots.take() {
+            return self.pilot_step(pilots, rng);
+        }
+        if self.next_instance >= self.max_instances {
+            return Ok(Flow::Stop);
+        }
+        let outcome = self.run_instance(rng);
+        self.next_instance += 1;
+        // `None`: a degenerate instance (seed not a member).
+        if let Some(sums) = outcome? {
+            self.instances.push(sums);
+        }
+        Ok(self.flow())
+    }
+
+    fn finish(self) -> Result<Estimate, EstimateError> {
+        finalize(self.query, &self.instances, self.graph.cost())
+    }
 }
 
 fn finalize(
@@ -587,21 +626,7 @@ impl ProbabilityEstimator {
     }
 }
 
-/// The walk machinery, borrowing the query graph.
-struct TarwWalker<'g, 'c, 'p> {
-    graph: &'g mut QueryGraph<'c, 'p>,
-    prob: ProbabilityEstimator,
-    seeds: &'g [UserId],
-    p_mode: PMode,
-    query: &'g AggregateQuery,
-    tracer: Tracer,
-    /// Path buffers reused across instances, so a bottom-top-bottom pass
-    /// allocates nothing once the walker has warmed up.
-    up_path: Vec<UserId>,
-    down_path: Vec<UserId>,
-}
-
-impl TarwWalker<'_, '_, '_> {
+impl Tarw<'_, '_> {
     /// One bottom-top-bottom instance; `Ok(None)` when the chosen seed is
     /// not a subgraph member (e.g. its qualifying post is cap-hidden).
     fn run_instance<R: Rng>(&mut self, rng: &mut R) -> Result<Option<InstanceSums>, ApiError> {
@@ -734,16 +759,16 @@ impl TarwWalker<'_, '_, '_> {
     ) -> Result<f64, ApiError> {
         match self.p_mode {
             PMode::Exact => match phase {
-                Phase::Up => self.prob.exact_p_up(self.graph, u),
-                Phase::Down => self.prob.exact_p_down(self.graph, u),
+                Phase::Up => self.prob.exact_p_up(&mut self.graph, u),
+                Phase::Down => self.prob.exact_p_down(&mut self.graph, u),
             },
             PMode::Sampled { draws, .. } => {
                 let draws = draws.max(1);
                 let mut total = 0.0;
                 for _ in 0..draws {
                     total += match phase {
-                        Phase::Up => self.prob.p_up(self.graph, rng, u)?,
-                        Phase::Down => self.prob.p_down(self.graph, rng, u)?,
+                        Phase::Up => self.prob.p_up(&mut self.graph, rng, u)?,
+                        Phase::Down => self.prob.p_down(&mut self.graph, rng, u)?,
                     };
                 }
                 Ok(total / draws as f64)

@@ -56,8 +56,8 @@ pub fn event_names(category: Category) -> &'static [&'static str] {
 /// Span names (emitted as `span_start` / `span_end` pairs), per category.
 pub fn span_names(category: Category) -> &'static [&'static str] {
     match category {
-        Category::Walk => &["tarw_instance", "pilot"],
-        Category::Job => &["job", "estimate"],
+        Category::Walk => &["pilot"],
+        Category::Job => &["job", "estimate", "walk"],
         _ => &[],
     }
 }

@@ -1102,19 +1102,12 @@ fn supervisor_loop(
             inj.plan().point == point && matches!(inj.plan().mode, CrashMode::TornTail { .. })
         });
         if torn {
-            let job = *job;
-            let id = job.id;
-            interrupt_job(&ctx, id, &job.state);
-            ctx.quota.settle(job.reservation, 0);
-            trace_settle(&ctx.tracer, id, 0, "torn_tail");
+            interrupt_job(&ctx, *job, "torn_tail");
             continue;
         }
         if let Err(mpsc::SendError(job)) = jobs.send(*job) {
             // Shutdown raced the requeue; park the job for recovery.
-            let id = job.id;
-            interrupt_job(&ctx, id, &job.state);
-            ctx.quota.settle(job.reservation, 0);
-            trace_settle(&ctx.tracer, id, 0, "requeue_raced");
+            interrupt_job(&ctx, job, "requeue_raced");
         }
     }
 }
@@ -1138,27 +1131,33 @@ fn trace_settle(tracer: &Tracer, job: u64, used: u64, reason: &str) {
     );
 }
 
-/// Fails a job's handle with [`ServiceError::Interrupted`] and journals
-/// the interruption so the next startup recovers it.
-fn interrupt_job(ctx: &WorkerCtx, id: u64, state: &Arc<JobState>) {
-    let mut slot = state.outcome.lock();
+/// Parks a job the supervisor could not requeue: releases its
+/// reservation, journals the interruption so the next startup recovers
+/// it, counts and de-registers it — and only then fails its handle with
+/// [`ServiceError::Interrupted`]. That is the order normal settlement
+/// publishes in, so a caller woken by `join` already sees the quota
+/// released and the job gone.
+fn interrupt_job(ctx: &WorkerCtx, job: Job, reason: &str) {
+    let id = job.id;
+    ctx.quota.settle(job.reservation, 0);
+    trace_settle(&ctx.tracer, id, 0, reason);
+    let mut slot = job.state.outcome.lock();
     if slot.is_some() {
         return;
     }
-    *slot = Some(JobOutcome::Failed {
-        job: id,
-        error: ServiceError::Interrupted,
-        charged: 0,
-        resilience: ResilienceStats::default(),
-    });
-    state.ready.notify_all();
-    drop(slot);
     if let Some(journal) = &ctx.journal {
         let _ = journal.append(&JournalRecord::Interrupted { job: id });
     }
     ctx.metrics.record_interrupted();
     ctx.inflight.lock().remove(&id);
     ctx.outstanding.dec();
+    *slot = Some(JobOutcome::Failed {
+        job: id,
+        error: ServiceError::Interrupted,
+        charged: 0,
+        resilience: ResilienceStats::default(),
+    });
+    job.state.ready.notify_all();
 }
 
 /// The per-job checkpoint sink: journals every checkpoint, keeps the

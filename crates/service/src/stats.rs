@@ -9,7 +9,7 @@
 //!   estimate → settle, and each stage owns a rotating
 //!   [`WindowedHistogram`] of its latencies. Admit/queue/settle are
 //!   recorded directly by the engine; pilot/walk/estimate are correlated
-//!   from the `pilot`, `tarw_instance` and `estimate` trace spans by
+//!   from the `pilot`, `walk` and `estimate` trace spans by
 //!   [`StatsHub::observe`].
 //! * **Conserved counters** — submissions, outcomes, charges, cache
 //!   traffic and samples, tracked as cumulative totals plus a
@@ -48,7 +48,8 @@ pub enum Stage {
     Queue,
     /// Pilot walks selecting the MA-TARW interval (the `pilot` span).
     Pilot,
-    /// Random-walk instances (the `tarw_instance` span).
+    /// The sampler's walk (the `walk` span every sampler's run emits;
+    /// for a pilot-selected MA-TARW job it encloses the pilot stage).
     Walk,
     /// The whole estimator run (the `estimate` span).
     Estimate,
@@ -371,11 +372,11 @@ impl StatsHub {
         }
         match (event.kind, event.category, event.name) {
             (EventKind::SpanStart, Category::Walk, "pilot")
-            | (EventKind::SpanStart, Category::Walk, "tarw_instance")
+            | (EventKind::SpanStart, Category::Job, "walk")
             | (EventKind::SpanStart, Category::Job, "estimate") => {
                 let stage = match event.name {
                     "pilot" => Stage::Pilot,
-                    "tarw_instance" => Stage::Walk,
+                    "walk" => Stage::Walk,
                     _ => Stage::Estimate,
                 };
                 if let Some(id) = event.span {
@@ -386,7 +387,7 @@ impl StatsHub {
                 }
             }
             (EventKind::SpanEnd, Category::Walk, "pilot")
-            | (EventKind::SpanEnd, Category::Walk, "tarw_instance")
+            | (EventKind::SpanEnd, Category::Job, "walk")
             | (EventKind::SpanEnd, Category::Job, "estimate") => {
                 if let Some(id) = event.span {
                     let mut inner = self.inner.lock();
@@ -860,7 +861,7 @@ mod tests {
         let hub = hub();
         for (cat, name) in [
             (Category::Walk, "pilot"),
-            (Category::Walk, "tarw_instance"),
+            (Category::Job, "walk"),
             (Category::Job, "estimate"),
         ] {
             hub.observe(&event(EventKind::SpanStart, cat, name, 100));

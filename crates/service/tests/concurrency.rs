@@ -58,17 +58,16 @@ fn eight_submitters_respect_the_quota_exactly() {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 let mut settled = 0u64; // what this thread's jobs consumed
-                let mut admitted = 0u64;
+                let mut handles = Vec::new();
                 let mut rejected = 0u64;
+                // Submit everything before joining anything: the demand
+                // is all in flight at once, so the half-sized pool is
+                // oversubscribed by construction rather than only when
+                // settled charges happen to approach it.
                 for j in 0..JOBS_PER_SUBMITTER {
                     let spec = spec(&service, BUDGET, t * 1_000 + j);
                     match service.submit(spec) {
-                        Ok(handle) => {
-                            admitted += 1;
-                            // Whatever the ending, the job settled exactly
-                            // what it charged; the rest was refunded.
-                            settled += handle.join().charged();
-                        }
+                        Ok(handle) => handles.push(handle),
                         Err(ServiceError::Rejected {
                             requested,
                             available,
@@ -82,6 +81,12 @@ fn eight_submitters_respect_the_quota_exactly() {
                         }
                         Err(other) => panic!("unexpected submit error: {other}"),
                     }
+                }
+                let admitted = handles.len() as u64;
+                for handle in handles {
+                    // Whatever the ending, the job settled exactly what
+                    // it charged; the rest was refunded.
+                    settled += handle.join().charged();
                 }
                 (settled, admitted, rejected)
             })

@@ -13,13 +13,18 @@
 //! deltas must telescope — each total equals the previous total plus
 //! the delta, so the sum of all deltas equals the final total.
 //!
+//! Coverage is checked as well as conservation: every `estimate` span
+//! that ends `ok` must enclose a `walk` span, the one the sampler driver
+//! opens around every sampler's steps — an estimate no walk produced
+//! means a sampler escaped the driver, and its time the walk stage.
+//!
 //! Concurrency caveat: charge→job attribution and breaker state are
 //! per-worker facts, but the trace is a single interleaved stream. When
-//! two `job` spans overlap, the auditor cannot tell whose charge is
-//! whose, so the span-conservation, tick-order and breaker checks are
-//! skipped (reported in [`Audit::skipped`]); the settle, checkpoint,
-//! vocabulary and attribution checks are interleaving-proof and always
-//! run.
+//! two `job` spans overlap, the auditor cannot tell whose charge (or
+//! walk) is whose, so the span-conservation, walk-coverage, tick-order
+//! and breaker checks are skipped (reported in [`Audit::skipped`]); the
+//! settle, checkpoint, vocabulary and attribution checks are
+//! interleaving-proof and always run.
 
 use crate::frame::Frame;
 use microblog_obs::schema;
@@ -106,7 +111,12 @@ pub fn audit(input: &str) -> Audit {
     // don't.
     let concurrent = job_spans_overlap(&frames);
     if concurrent {
-        audit.skipped = vec!["job-conservation", "breaker-legality", "tick-order"];
+        audit.skipped = vec![
+            "job-conservation",
+            "walk-coverage",
+            "breaker-legality",
+            "tick-order",
+        ];
     }
 
     let mut last_seq: Option<u64> = None;
@@ -115,6 +125,9 @@ pub fn audit(input: &str) -> Audit {
     let mut open_spans: BTreeMap<u64, (usize, Category, String)> = BTreeMap::new();
     // Open `job` spans: span id -> (job_id, start_seq, resumed)
     let mut open_jobs: BTreeMap<u64, (u64, u64, bool)> = BTreeMap::new();
+    // Open `estimate` spans: span id -> whether a `walk` span opened
+    // inside it.
+    let mut open_estimates: BTreeMap<u64, bool> = BTreeMap::new();
     let mut job_runs: Vec<JobRun> = Vec::new();
     // All charge events, as (seq, calls).
     let mut charges: Vec<(u64, u64)> = Vec::new();
@@ -199,6 +212,13 @@ pub fn audit(input: &str) -> Audit {
                     continue;
                 }
                 open_spans.insert(id, (line, f.cat, f.name.clone()));
+                match (f.cat, f.name.as_str()) {
+                    (Category::Job, "estimate") => {
+                        open_estimates.insert(id, false);
+                    }
+                    (Category::Job, "walk") => open_estimates.values_mut().for_each(|w| *w = true),
+                    _ => {}
+                }
                 if f.cat == Category::Job && f.name == "job" {
                     let job_id = f.u64_field("job_id").unwrap_or(u64::MAX);
                     let resumed = f.u64_field("resumed").unwrap_or(0) == 1;
@@ -230,6 +250,13 @@ pub fn audit(input: &str) -> Audit {
                         ),
                     ),
                     Some(_) => {}
+                }
+                let walked = open_estimates.remove(&id);
+                if walked == Some(false) && !concurrent && f.str_field("outcome") == Some("ok") {
+                    fail(
+                        "walk-coverage",
+                        format!("estimate span (id {id}) ended ok without enclosing a walk span"),
+                    );
                 }
                 if let Some((job_id, start_seq, resumed)) = open_jobs.remove(&id) {
                     job_runs.push(JobRun {

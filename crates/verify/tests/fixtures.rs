@@ -81,6 +81,15 @@ fn missing_settle_is_flagged() {
 }
 
 #[test]
+fn estimate_without_a_walk_is_flagged() {
+    // The estimate ends ok, yet no sampler walk ran inside it.
+    assert_only(
+        include_str!("fixtures/violation_walk_coverage.jsonl"),
+        "walk-coverage",
+    );
+}
+
+#[test]
 fn broken_stats_conservation_is_flagged() {
     // Window 1 claims 20 cumulative charged calls but the previous
     // total (10) plus its delta (5) only accounts for 15.
