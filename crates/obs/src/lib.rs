@@ -4,8 +4,8 @@
 //! MICROBLOG-ANALYZER stack.
 //!
 //! The paper's currency is *API calls per unit of accuracy*, and the
-//! end-of-job `MetricsRegistry` totals cannot explain where inside a walk
-//! the budget went. This crate provides the missing step-level view:
+//! service's end-of-job totals cannot explain where inside a walk the
+//! budget went. This crate provides the missing step-level view:
 //!
 //! * [`event`] — the [`TraceEvent`] record: a span or point event with a
 //!   category, a name, a walk [`WalkPhase`] / level attribution, and typed
@@ -23,8 +23,9 @@
 //!   code holds. It carries ambient *walk phase* and *level* state so a
 //!   charge recorded deep in the client stack is attributed to the walk
 //!   phase that caused it.
-//! * [`histogram`] — [`Log2Histogram`], lock-free log2-bucket counters
-//!   merged into the service metrics renderings.
+//! * [`histogram`] — log-linear bucket math over plain `[u64; BUCKETS]`
+//!   counts, shared by the windowed histograms and the service totals
+//!   (which keep theirs under the stats hub's lock).
 //! * [`window`] — rotating-window time series on the logical clock:
 //!   [`WindowedSeries`] for rates/gauges and [`WindowedHistogram`] for
 //!   per-window latency percentiles, feeding the live stats stream.
@@ -35,8 +36,8 @@
 //!
 //! The crate is deliberately dependency-free apart from the workspace's
 //! own `microblog-graph`: tracing must never perturb what it measures, so
-//! everything here is `std` atomics, mutexed ring buffers and string
-//! formatting.
+//! everything here is `std` atomics, mutexed ring buffers, plain bucket
+//! arrays and string formatting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +56,7 @@ pub mod window;
 pub use clock::{TelemetryClock, TelemetryMode};
 pub use event::{Category, EventKind, FieldValue, TraceEvent, WalkPhase};
 pub use export::{render_jsonl, to_json_line};
-pub use histogram::{render_buckets, Log2Histogram};
+pub use histogram::render_buckets;
 pub use recorder::{RecorderConfig, RecorderStats, RingRecorder};
 pub use sink::{NullSink, TraceSink};
 pub use tracer::Tracer;

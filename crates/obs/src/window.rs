@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use crate::histogram::{Log2Histogram, BUCKETS};
+use crate::histogram::{self, bucket_bounds, BUCKETS};
 
 /// Default window width in telemetry-clock ticks.
 pub const DEFAULT_WINDOW_TICKS: u64 = 1024;
@@ -158,9 +158,10 @@ impl WindowedSeries {
     }
 }
 
-/// A rotating-window [`Log2Histogram`]: per-window bucket counts with
-/// bounded retention, plus percentile extraction over the retained
-/// horizon. Same rotation semantics as [`WindowedSeries`].
+/// A rotating-window log-linear histogram ([`crate::histogram`]):
+/// per-window bucket counts with bounded retention, plus percentile
+/// extraction over the retained horizon. Same rotation semantics as
+/// [`WindowedSeries`].
 #[derive(Clone, Debug)]
 pub struct WindowedHistogram {
     width: u64,
@@ -213,8 +214,7 @@ impl WindowedHistogram {
         }
         let offset = (index - front) as usize;
         if let Some((_, counts)) = self.windows.get_mut(offset) {
-            // ma-lint: allow(panic-safety) reason="bucket_index is bounded to BUCKETS-1 by construction"
-            counts[Log2Histogram::bucket_index(value)] += 1;
+            histogram::record(counts, value);
         }
     }
 
@@ -258,7 +258,7 @@ impl WindowedHistogram {
         merged
             .iter()
             .rposition(|&n| n > 0)
-            .map_or(0, |i| Log2Histogram::bucket_bounds(i).1)
+            .map_or(0, |i| bucket_bounds(i).1)
     }
 }
 
@@ -277,14 +277,14 @@ pub fn percentile(counts: &[u64; BUCKETS], q: f64) -> u64 {
     let mut cum = 0u64;
     for (i, &n) in counts.iter().enumerate() {
         if n > 0 && cum + n >= rank {
-            let (lo, hi) = Log2Histogram::bucket_bounds(i);
+            let (lo, hi) = bucket_bounds(i);
             let into = rank - cum; // 1..=n
             let span = (hi - lo) as u128;
             return lo + (span * into as u128 / n as u128) as u64;
         }
         cum += n;
     }
-    Log2Histogram::bucket_bounds(BUCKETS - 1).1
+    bucket_bounds(BUCKETS - 1).1
 }
 
 const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -389,8 +389,8 @@ mod tests {
         let merged = h.merged();
         assert_eq!(merged[1], 2);
         assert_eq!(merged[3], 1);
-        assert_eq!(merged[Log2Histogram::bucket_index(200)], 1);
-        assert_eq!(merged[Log2Histogram::bucket_index(1000)], 1);
+        assert_eq!(merged[histogram::bucket_index(200)], 1);
+        assert_eq!(merged[histogram::bucket_index(1000)], 1);
         // Ranks: p50 is the 3rd of 5 → the singleton bucket for 3.
         assert_eq!(h.percentile(0.5), 3);
         // p90 is the 5th of 5 → 1000's bucket [896, 1023], lone occupant

@@ -1,7 +1,9 @@
 //! The multi-query estimation engine.
 //!
 //! [`Service`] owns a worker pool, the [`SharedApiCache`], the
-//! [`GlobalQuota`], and a [`MetricsRegistry`]. [`Service::submit`]
+//! [`GlobalQuota`], and the [`StatsHub`] every engine event is recorded
+//! into once (admission, rejection, settlement, checkpoint, resume,
+//! respawn, interruption, journal drop). [`Service::submit`]
 //! performs admission control — the job's full budget is reserved from
 //! the global quota up front, so an admitted job can always run to its
 //! budget — and hands back a [`JobHandle`] whose [`JobHandle::join`]
@@ -36,9 +38,8 @@
 //! [`ServiceError::Interrupted`] instead of blocking shutdown forever.
 
 use crate::cache::{CoalescingSharedCache, SharedApiCache, SharedCacheConfig, SharedCacheSnapshot};
-use crate::clock::{TelemetryClock, TelemetryMode};
 use crate::journal::{Journal, JournalRecord, ReplaySummary};
-use crate::metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{JobMetrics, MetricsSnapshot};
 use crate::quota::{GlobalQuota, Reservation};
 use crate::request::JobSpec;
 use crate::stats::{GaugeReading, StatsConfig, StatsHub};
@@ -49,7 +50,7 @@ use microblog_api::{
     ApiProfile, FetchScheduler, InflightPolicy, PrefetchSink, ResilienceStats, RetryPolicy,
     SchedCloseGuard, SchedCounters, SchedStats,
 };
-use microblog_obs::{Category, FieldValue, Tracer};
+use microblog_obs::{Category, FieldValue, TelemetryClock, TelemetryMode, Tracer};
 use microblog_platform::{
     crash_point, ApiBackend, CrashInjector, CrashMode, CrashPlan, FaultPlan, FaultyPlatform,
     Platform, CRASH_PANIC_PREFIX,
@@ -454,15 +455,15 @@ pub struct RecoveryReport {
     pub abandoned_jobs: u64,
 }
 
-/// Everything a worker (and the supervisor that respawns workers) needs,
-/// shared behind one `Arc` so respawning is a single clone + spawn.
+/// Everything the workers, the supervisor that respawns them and the
+/// [`Service`] handle share, behind one `Arc` so respawning is a single
+/// clone + spawn.
 struct WorkerCtx {
     receiver: Arc<Mutex<mpsc::Receiver<Job>>>,
     platform: Arc<Platform>,
     api: ApiProfile,
     shared_layer: Arc<dyn CacheLayer>,
     quota: GlobalQuota,
-    metrics: Arc<MetricsRegistry>,
     clock: Arc<TelemetryClock>,
     faulty: Option<Arc<FaultyPlatform>>,
     custom_backend: Option<Arc<dyn ApiBackend>>,
@@ -484,6 +485,26 @@ struct WorkerCtx {
     sched_counters: Arc<SchedCounters>,
 }
 
+impl WorkerCtx {
+    /// Samples the layer gauges one stats emission reports: quota,
+    /// in-flight jobs, and the service-wide coalescer and fetch-pipeline
+    /// counters.
+    fn gauges(&self) -> GaugeReading {
+        GaugeReading {
+            quota_consumed: self.quota.consumed(),
+            quota_reserved: self.quota.reserved(),
+            quota_remaining: self.quota.remaining(),
+            inflight: self.inflight.lock().len() as u64,
+            coalesce: self
+                .coalescer
+                .as_ref()
+                .map(|layer| layer.stats())
+                .unwrap_or_default(),
+            sched: self.sched_counters.snapshot(),
+        }
+    }
+}
+
 enum SupervisorMsg {
     /// A worker died at a crashpoint; `job` is present unless the job
     /// had already published its outcome (post-settlement crash).
@@ -498,29 +519,16 @@ enum SupervisorMsg {
 /// [`shutdown`](Service::shutdown)) drains in-flight jobs and joins the
 /// workers.
 pub struct Service {
-    platform: Arc<Platform>,
-    api: ApiProfile,
+    ctx: Arc<WorkerCtx>,
     cache: Arc<SharedApiCache>,
-    coalescer: Option<Arc<CoalescingSharedCache>>,
-    quota: GlobalQuota,
-    metrics: Arc<MetricsRegistry>,
-    clock: Arc<TelemetryClock>,
-    faulty: Option<Arc<FaultyPlatform>>,
-    tracer: Tracer,
-    journal: Option<Arc<Journal>>,
-    injector: Option<Arc<CrashInjector>>,
     sender: Option<mpsc::Sender<Job>>,
     supervisor: Option<(mpsc::Sender<SupervisorMsg>, JoinHandle<()>)>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    outstanding: Arc<Outstanding>,
-    inflight: Arc<Mutex<HashMap<u64, Arc<JobState>>>>,
     next_id: AtomicU64,
     drain_timeout: Option<Duration>,
     recovery: Option<RecoveryReport>,
     recovered_handles: Vec<JobHandle>,
     drained: bool,
-    stats: Arc<StatsHub>,
-    sched_counters: Arc<SchedCounters>,
 }
 
 impl Service {
@@ -554,7 +562,6 @@ impl Service {
             Some(limit) => GlobalQuota::limited(limit),
             None => GlobalQuota::unlimited(),
         };
-        let metrics = Arc::new(MetricsRegistry::with_mode(config.telemetry));
         // An enabled tracer's clock doubles as the telemetry clock, so
         // trace ticks and queue/exec totals come from one stream.
         let clock = config
@@ -583,35 +590,34 @@ impl Service {
             .unwrap_or_else(|| Arc::new(StatsHub::new(StatsConfig::default())));
         let (sender, receiver) = mpsc::channel::<Job>();
         let (sup_sender, sup_receiver) = mpsc::channel::<SupervisorMsg>();
-        // One counter block shared by every worker's scheduler, so the
-        // pipeline gauges are service-wide like the fault counters.
-        let sched_counters = Arc::new(SchedCounters::default());
         let ctx = Arc::new(WorkerCtx {
             receiver: Arc::new(Mutex::new(receiver)),
-            platform: Arc::clone(&platform),
-            api: api.clone(),
+            platform,
+            api,
             shared_layer,
-            quota: quota.clone(),
-            metrics: Arc::clone(&metrics),
-            clock: Arc::clone(&clock),
-            faulty: faulty.clone(),
-            custom_backend: config.backend.clone(),
+            quota,
+            clock,
+            faulty,
+            custom_backend: config.backend,
             default_retry: config.retry,
-            tracer: config.tracer.clone(),
-            journal: journal.clone(),
-            injector: injector.clone(),
+            tracer: config.tracer,
+            journal,
+            injector,
             checkpoint_every: config.checkpoint_every,
             outstanding: Arc::new(Outstanding::default()),
             inflight: Arc::new(Mutex::new(HashMap::new())),
             supervisor: sup_sender.clone(),
-            stats: Arc::clone(&stats),
+            stats,
             stats_every: config.stats_every,
-            coalescer: coalescer.clone(),
+            coalescer,
             pipeline: config.pipeline,
             inflight_policy: config.inflight,
             chains: config.chains.max(1),
             step_cap: config.step_cap,
-            sched_counters: Arc::clone(&sched_counters),
+            // One counter block shared by every worker's scheduler, so
+            // the pipeline gauges are service-wide like the fault
+            // counters.
+            sched_counters: Arc::new(SchedCounters::default()),
         });
         let workers = Arc::new(Mutex::new(
             (0..config.workers.max(1))
@@ -625,29 +631,16 @@ impl Service {
             std::thread::spawn(move || supervisor_loop(ctx, sup_receiver, workers, jobs))
         };
         let mut service = Service {
-            platform,
-            api,
+            ctx,
             cache,
-            coalescer,
-            quota,
-            metrics,
-            clock,
-            faulty,
-            tracer: config.tracer,
-            journal,
-            injector,
             sender: Some(sender),
             supervisor: Some((sup_sender, supervisor_handle)),
             workers,
-            outstanding: Arc::clone(&ctx.outstanding),
-            inflight: Arc::clone(&ctx.inflight),
             next_id: AtomicU64::new(0),
             drain_timeout: config.drain_timeout,
             recovery: None,
             recovered_handles: Vec::new(),
             drained: false,
-            stats,
-            sched_counters: Arc::clone(&ctx.sched_counters),
         };
         if let Some(summary) = replayed {
             service.recover(summary);
@@ -659,10 +652,11 @@ impl Service {
     /// quota for settled jobs, requeue unsettled jobs from their latest
     /// checkpoint.
     fn recover(&mut self, summary: ReplaySummary) {
+        let ctx = &self.ctx;
         self.next_id.store(summary.next_job_id, Ordering::Relaxed);
-        self.quota.adopt(summary.consumed);
+        ctx.quota.adopt(summary.consumed);
         if summary.dropped_bytes > 0 {
-            self.metrics.record_journal_dropped(1);
+            ctx.stats.record_journal_dropped(1);
         }
         let mut report = RecoveryReport {
             records: summary.records,
@@ -672,29 +666,25 @@ impl Service {
             ..RecoveryReport::default()
         };
         for recovered in summary.recovered {
-            let Ok(reservation) = self.quota.try_reserve(recovered.spec.budget) else {
+            let Ok(reservation) = ctx.quota.try_reserve(recovered.spec.budget) else {
                 // The quota shrank under the journal; leave the job
                 // unsettled so the next startup can retry it.
                 report.abandoned_jobs += 1;
-                self.metrics.record_interrupted();
+                ctx.stats.record_interrupted();
                 continue;
             };
-            self.metrics.record_submitted();
-            self.metrics.record_resumed();
             let state = Arc::new(JobState::default());
             self.recovered_handles.push(JobHandle {
                 job: recovered.job,
                 state: Arc::clone(&state),
             });
-            self.inflight
+            ctx.inflight
                 .lock()
                 .insert(recovered.job, Arc::clone(&state));
-            self.outstanding.inc();
+            ctx.outstanding.inc();
             report.resumed_jobs += 1;
-            let submitted = self.clock.now();
-            // A requeue re-enters the pipeline at the admit stage with
-            // zero admission latency (the reservation already exists).
-            self.stats.record_admit(submitted.as_micros() as u64, 0);
+            let submitted = ctx.clock.now();
+            ctx.stats.record_resumed(submitted.as_micros() as u64);
             let job = Job {
                 id: recovered.job,
                 spec: recovered.spec,
@@ -706,14 +696,14 @@ impl Service {
             if let Some(sender) = &self.sender {
                 if let Err(mpsc::SendError(job)) = sender.send(job) {
                     let id = job.id;
-                    self.quota.settle(job.reservation, 0);
-                    self.outstanding.dec();
-                    trace_settle(&self.tracer, id, 0, "send_failed");
+                    ctx.quota.settle(job.reservation, 0);
+                    ctx.outstanding.dec();
+                    trace_settle(&ctx.tracer, id, 0, "send_failed");
                 }
             }
         }
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
+        if ctx.tracer.is_enabled() {
+            ctx.tracer.emit(
                 Category::Recovery,
                 "replay",
                 &[
@@ -730,19 +720,19 @@ impl Service {
     /// Admits `spec` if the global quota can cover its budget, queueing
     /// it for the next free worker.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, ServiceError> {
-        let admit_start = self.clock.now();
-        let reservation = self.quota.try_reserve(spec.budget).map_err(|available| {
-            self.metrics.record_rejected();
+        let ctx = &self.ctx;
+        let admit_start = ctx.clock.now();
+        let reservation = ctx.quota.try_reserve(spec.budget).map_err(|available| {
+            ctx.stats.record_rejected();
             ServiceError::Rejected {
                 requested: spec.budget,
                 available,
             }
         })?;
-        self.metrics.record_submitted();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Write-ahead: admission and reservation are journaled before
         // the job can run, so a crash at any later point finds them.
-        if let Some(journal) = &self.journal {
+        if let Some(journal) = &ctx.journal {
             let _ = journal.append(&JournalRecord::Admit {
                 job: id,
                 spec: spec.clone(),
@@ -757,10 +747,10 @@ impl Service {
             job: id,
             state: Arc::clone(&state),
         };
-        self.inflight.lock().insert(id, Arc::clone(&state));
-        self.outstanding.inc();
-        let submitted = self.clock.now();
-        self.stats.record_admit(
+        ctx.inflight.lock().insert(id, Arc::clone(&state));
+        ctx.outstanding.inc();
+        let submitted = ctx.clock.now();
+        ctx.stats.record_admit(
             submitted.as_micros() as u64,
             submitted.saturating_sub(admit_start).as_micros() as u64,
         );
@@ -774,11 +764,11 @@ impl Service {
         };
         let send_failed = |job: Job| {
             // Workers are gone; release the reservation untouched.
-            self.inflight.lock().remove(&job.id);
-            self.outstanding.dec();
+            ctx.inflight.lock().remove(&job.id);
+            ctx.outstanding.dec();
             let id = job.id;
-            self.quota.settle(job.reservation, 0);
-            trace_settle(&self.tracer, id, 0, "send_failed");
+            ctx.quota.settle(job.reservation, 0);
+            trace_settle(&ctx.tracer, id, 0, "send_failed");
             ServiceError::ShuttingDown
         };
         let Some(sender) = self.sender.as_ref() else {
@@ -799,17 +789,18 @@ impl Service {
     }
 
     fn drain(&mut self) -> ShutdownReport {
+        let ctx = &self.ctx;
         self.drained = true;
         // Closing the channel lets workers finish the queue and exit.
         self.sender.take();
-        let clean = self.outstanding.wait_drained(self.drain_timeout);
+        let clean = ctx.outstanding.wait_drained(self.drain_timeout);
         let mut interrupted = Vec::new();
         if !clean {
             // Deadline expired: fail the stragglers' handles and journal
             // them as interrupted so the next startup recovers them.
             // Their reservations are owned by hung workers and stay
             // booked — accurate, since the work may still be running.
-            let stranded: Vec<(u64, Arc<JobState>)> = self.inflight.lock().drain().collect();
+            let stranded: Vec<(u64, Arc<JobState>)> = ctx.inflight.lock().drain().collect();
             for (id, state) in stranded {
                 let failed = JobOutcome::Failed {
                     job: id,
@@ -823,11 +814,11 @@ impl Service {
                     *slot = Some(failed);
                     state.ready.notify_all();
                     drop(slot);
-                    if let Some(journal) = &self.journal {
+                    if let Some(journal) = &ctx.journal {
                         let _ = journal.append(&JournalRecord::Interrupted { job: id });
                     }
-                    self.metrics.record_interrupted();
-                    self.outstanding.dec();
+                    ctx.stats.record_interrupted();
+                    ctx.outstanding.dec();
                     interrupted.push(id);
                 }
             }
@@ -844,7 +835,7 @@ impl Service {
         }
         // else: some workers are hung on interrupted jobs — detach them;
         // the process is exiting and the journal has what recovery needs.
-        if let Some(journal) = &self.journal {
+        if let Some(journal) = &ctx.journal {
             let _ = journal.sync();
         }
         ShutdownReport { clean, interrupted }
@@ -852,12 +843,12 @@ impl Service {
 
     /// The world being estimated over.
     pub fn platform(&self) -> &Arc<Platform> {
-        &self.platform
+        &self.ctx.platform
     }
 
     /// The API profile in force.
     pub fn api_profile(&self) -> &ApiProfile {
-        &self.api
+        &self.ctx.api
     }
 
     /// The shared cross-query cache.
@@ -874,18 +865,18 @@ impl Service {
     /// [`ServiceConfig::fault_plan`]. Its counters report how many
     /// failures the resilience stack had to absorb.
     pub fn fault_injector(&self) -> Option<&Arc<FaultyPlatform>> {
-        self.faulty.as_ref()
+        self.ctx.faulty.as_ref()
     }
 
     /// The crash injector, when the service was configured with a
     /// [`ServiceConfig::crash_plan`].
     pub fn crash_injector(&self) -> Option<&Arc<CrashInjector>> {
-        self.injector.as_ref()
+        self.ctx.injector.as_ref()
     }
 
     /// The write-ahead journal, when configured.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
+        self.ctx.journal.as_ref()
     }
 
     /// What startup journal replay recovered, when a journal was
@@ -902,32 +893,33 @@ impl Service {
 
     /// The global quota accountant.
     pub fn quota(&self) -> &GlobalQuota {
-        &self.quota
+        &self.ctx.quota
     }
 
     /// The time source behind `queue_wait`/`exec` telemetry.
     pub fn telemetry_clock(&self) -> &Arc<TelemetryClock> {
-        &self.clock
+        &self.ctx.clock
     }
 
     /// Miss-coalescing counters, when coalescing is enabled.
     pub fn coalesce_stats(&self) -> Option<CoalesceStats> {
-        self.coalescer.as_ref().map(|layer| layer.stats())
+        self.ctx.coalescer.as_ref().map(|layer| layer.stats())
     }
 
-    /// A point-in-time copy of the service counters. Coalescing counters
-    /// live on the singleflight layer and journal drop counters on the
-    /// journal (they are service-wide, not per-job), so the snapshot
-    /// overlays them here.
+    /// A point-in-time copy of the service totals: the stats hub's
+    /// cumulative state, with the duration unit of the clock that
+    /// measured it. Coalescing counters live on the singleflight layer
+    /// and post-tear journal drops on the journal (they are
+    /// service-wide, not per-job), so the copy overlays them here.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        if let Some(stats) = self.coalesce_stats() {
-            snap.coalesce_leads = stats.leads;
-            snap.coalesce_waits = stats.waits;
-            snap.coalesce_aborts = stats.aborts;
-            snap.coalesce_peak_inflight = stats.peak_inflight;
-        }
-        if let Some(journal) = &self.journal {
+        let mut snap = self.ctx.stats.metrics();
+        snap.mode = self.ctx.clock.mode();
+        let coalesce = self.coalesce_stats().unwrap_or_default();
+        snap.coalesce_leads = coalesce.leads;
+        snap.coalesce_waits = coalesce.waits;
+        snap.coalesce_aborts = coalesce.aborts;
+        snap.coalesce_peak_inflight = coalesce.peak_inflight;
+        if let Some(journal) = &self.ctx.journal {
             snap.journal_records_dropped += journal.dropped_appends();
         }
         snap
@@ -940,36 +932,26 @@ impl Service {
 
     /// The live-telemetry hub (DESIGN.md §14).
     pub fn stats_hub(&self) -> &Arc<StatsHub> {
-        &self.stats
+        &self.ctx.stats
     }
 
     /// A stable-JSON snapshot of the live telemetry: conserved totals,
     /// per-stage latency percentiles, rate-window histories, per-query
     /// convergence and current operational gauges.
     pub fn stats_snapshot(&self) -> String {
-        self.stats.snapshot_json(&self.gauges())
+        self.ctx.stats.snapshot_json(&self.ctx.gauges())
     }
 
     /// Emits one stats emission (`window`/`gauges`/`query` events)
     /// through the service tracer; no-op when the tracer is disabled.
     pub fn emit_stats(&self) {
-        self.stats.emit(&self.tracer, self.gauges());
+        self.ctx.stats.emit(&self.ctx.tracer, self.ctx.gauges());
     }
 
     /// A point-in-time copy of the fetch-pipeline counters (all zero
     /// when [`ServiceConfig::pipeline`] is off).
     pub fn sched_stats(&self) -> SchedStats {
-        self.sched_counters.snapshot()
-    }
-
-    fn gauges(&self) -> GaugeReading {
-        gauges_from(
-            &self.quota,
-            &self.inflight,
-            &self.metrics,
-            self.coalescer.as_ref(),
-            &self.sched_counters,
-        )
+        self.ctx.sched_counters.snapshot()
     }
 }
 
@@ -1075,7 +1057,7 @@ fn supervisor_loop(
         let SupervisorMsg::Crashed { point, job } = msg else {
             break;
         };
-        ctx.metrics.record_respawned();
+        ctx.stats.record_respawned();
         // ma-lint: allow(lock-across-call) reason="spawn_worker only spawns; the fetch it reaches runs on the new worker thread, not under this guard"
         workers.lock().push(spawn_worker(Arc::clone(&ctx)));
         if ctx.tracer.is_enabled() {
@@ -1148,7 +1130,7 @@ fn interrupt_job(ctx: &WorkerCtx, job: Job, reason: &str) {
     if let Some(journal) = &ctx.journal {
         let _ = journal.append(&JournalRecord::Interrupted { job: id });
     }
-    ctx.metrics.record_interrupted();
+    ctx.stats.record_interrupted();
     ctx.inflight.lock().remove(&id);
     ctx.outstanding.dec();
     *slot = Some(JobOutcome::Failed {
@@ -1167,7 +1149,7 @@ struct JobSink {
     job: u64,
     journal: Option<Arc<Journal>>,
     injector: Option<Arc<CrashInjector>>,
-    metrics: Arc<MetricsRegistry>,
+    stats: Arc<StatsHub>,
     tracer: Tracer,
     latest: std::sync::Mutex<Option<Box<WalkerCheckpoint>>>,
 }
@@ -1178,7 +1160,7 @@ impl JobSink {
             job,
             journal: ctx.journal.clone(),
             injector: ctx.injector.clone(),
-            metrics: Arc::clone(&ctx.metrics),
+            stats: Arc::clone(&ctx.stats),
             tracer: ctx.tracer.clone(),
             latest: std::sync::Mutex::new(None),
         }
@@ -1199,7 +1181,7 @@ impl CheckpointSink for JobSink {
                 checkpoint: Box::new(checkpoint.clone()),
             });
         }
-        self.metrics.record_checkpoint();
+        self.stats.record_checkpoint();
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 Category::Checkpoint,
@@ -1337,8 +1319,8 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
     }
     // Alongside the outcome, both settling paths hand the stats hub
     // their settlement facts (crash requeues carry their reservation
-    // onward instead of settling, so they report nothing yet).
-    let (outcome, stats_settle) = match result {
+    // onward instead of settling, so they return before reporting).
+    let (outcome, jm, estimate) = match result {
         Ok(report) => {
             // Settle down to what the run actually charged — success or
             // not, the unused remainder goes back to the pool. The
@@ -1354,8 +1336,7 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
                 });
             }
             let jm = job_metrics(&report, refunded, queue_wait, exec);
-            ctx.metrics.record_job(&jm);
-            let settled = (jm, report.outcome.as_ref().ok().copied());
+            let estimate = report.outcome.as_ref().ok().copied();
             let RunReport {
                 outcome,
                 charged,
@@ -1387,7 +1368,7 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
                     resilience,
                 },
             };
-            (published, Some(settled))
+            (published, jm, estimate)
         }
         Err(panic) => {
             if let Some(point) = crash_point(panic.as_ref()) {
@@ -1429,7 +1410,6 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
                 queue_wait,
                 exec,
             };
-            ctx.metrics.record_job(&jm);
             (
                 JobOutcome::Failed {
                     job: job.id,
@@ -1437,7 +1417,8 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
                     charged: amount,
                     resilience: ResilienceStats::default(),
                 },
-                Some((jm, None)),
+                jm,
+                None,
             )
         }
     };
@@ -1446,19 +1427,17 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
     // may submit the next job, and its admission events would otherwise
     // race this job's stats on the shared logical clock — breaking the
     // byte-identical stats-stream guarantee.
-    if let Some((jm, estimate)) = stats_settle {
-        let settled_at = ctx.clock.now();
-        let settle = settled_at.saturating_sub(started.saturating_add(exec));
-        ctx.stats.record_settled(
-            settled_at.as_micros() as u64,
-            job.id,
-            &jm,
-            estimate.as_ref(),
-            settle,
-        );
-        ctx.stats
-            .maybe_emit(&ctx.tracer, ctx.stats_every, || gauge_reading(ctx));
-    }
+    let settled_at = ctx.clock.now();
+    let settle = settled_at.saturating_sub(started.saturating_add(exec));
+    ctx.stats.record_settled(
+        settled_at.as_micros() as u64,
+        job.id,
+        &jm,
+        estimate.as_ref(),
+        settle,
+    );
+    ctx.stats
+        .maybe_emit(&ctx.tracer, ctx.stats_every, || ctx.gauges());
     let mut slot = job.state.outcome.lock();
     let fresh = slot.is_none();
     if fresh {
@@ -1509,48 +1488,6 @@ fn job_metrics(
         queue_wait,
         exec,
     }
-}
-
-/// Samples the operational gauges one stats emission reports.
-fn gauges_from(
-    quota: &GlobalQuota,
-    inflight: &Mutex<HashMap<u64, Arc<JobState>>>,
-    metrics: &MetricsRegistry,
-    coalescer: Option<&Arc<CoalescingSharedCache>>,
-    sched: &SchedCounters,
-) -> GaugeReading {
-    let snap = metrics.snapshot();
-    let coalesce = coalescer.map(|layer| layer.stats());
-    let sched = sched.snapshot();
-    GaugeReading {
-        quota_consumed: quota.consumed(),
-        quota_reserved: quota.reserved(),
-        quota_remaining: quota.remaining(),
-        inflight: inflight.lock().len() as u64,
-        breaker_opens: snap.breaker_opens,
-        breaker_fast_fails: snap.breaker_fast_fails,
-        coalesce_leads: coalesce.as_ref().map_or(0, |c| c.leads),
-        coalesce_waits: coalesce.as_ref().map_or(0, |c| c.waits),
-        coalesce_aborts: coalesce.as_ref().map_or(0, |c| c.aborts),
-        coalesce_peak_inflight: coalesce.as_ref().map_or(0, |c| c.peak_inflight),
-        sched_announced: sched.announced,
-        sched_prefetched: sched.prefetched,
-        sched_hits: sched.hits,
-        sched_waits: sched.waits,
-        sched_claimed: sched.claimed,
-        sched_stranded: sched.stranded,
-        sched_peak_inflight: sched.peak_inflight,
-    }
-}
-
-fn gauge_reading(ctx: &WorkerCtx) -> GaugeReading {
-    gauges_from(
-        &ctx.quota,
-        &ctx.inflight,
-        &ctx.metrics,
-        ctx.coalescer.as_ref(),
-        &ctx.sched_counters,
-    )
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

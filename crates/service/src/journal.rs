@@ -33,9 +33,9 @@
 //! allowed to touch `std::fs` for writing — the `fs-write` lint rule
 //! keeps every other durable side effect out of the estimation stack.
 
-use crate::clock::TelemetryClock;
 use crate::request::JobSpec;
 use microblog_analyzer::WalkerCheckpoint;
+use microblog_obs::TelemetryClock;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -477,9 +477,9 @@ impl Drop for Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{TelemetryClock, TelemetryMode};
     use microblog_analyzer::query::parse::parse_query;
     use microblog_analyzer::Algorithm;
+    use microblog_obs::{TelemetryClock, TelemetryMode};
     use microblog_platform::scenario::{twitter_2013, Scale};
 
     fn clock() -> Arc<TelemetryClock> {

@@ -19,14 +19,16 @@
 //!   still charged *logically* on shared hits (see
 //!   `microblog_api::cache`), so estimates stay bit-identical to
 //!   isolated runs while actual platform traffic drops.
-//! - [`MetricsRegistry`] — service-wide counters with text and JSON
-//!   exports.
-//! - [`StatsHub`] — windowed live telemetry on the logical clock:
-//!   per-stage latency histograms (admit → queue → pilot → walk →
-//!   estimate → settle), conserved counters whose per-emission deltas
-//!   telescope to the cumulative totals, and per-query convergence
-//!   gauges, streamed as `stats` trace events behind `ma-cli serve
-//!   --stats-every` and the `ma-cli top` dashboard (DESIGN.md §14).
+//! - [`StatsHub`] — the service's one metrics aggregator. The engine
+//!   records every event into it once; it keeps the service totals
+//!   ([`MetricsSnapshot`], rendered as aligned text by
+//!   [`Service::metrics_snapshot`]) and the windowed live telemetry on
+//!   the logical clock: per-stage latency histograms (admit → queue →
+//!   pilot → walk → estimate → settle), conserved counters whose
+//!   per-emission deltas telescope to the cumulative totals, and
+//!   per-query convergence gauges, streamed as `stats` trace events
+//!   behind `ma-cli serve --stats-every` and the `ma-cli top` dashboard
+//!   (DESIGN.md §14).
 //! - [`run_batch`] — the JSON-lines frontend behind `ma-cli serve`.
 //! - **Graceful degradation** — each job runs through the resilient
 //!   client stack (`microblog_api::ResilientClient`) under a
@@ -75,7 +77,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod clock;
 pub mod dashboard;
 pub mod engine;
 pub mod frontend;
@@ -88,7 +89,6 @@ pub mod stats;
 pub mod traceview;
 
 pub use cache::{SharedApiCache, SharedCacheConfig, SharedCacheSnapshot};
-pub use clock::{TelemetryClock, TelemetryMode};
 pub use dashboard::Dashboard;
 pub use engine::{
     JobHandle, JobOutcome, JobOutput, RecoveryReport, Service, ServiceConfig, ServiceError,
@@ -96,7 +96,8 @@ pub use engine::{
 };
 pub use frontend::{run_batch, BatchSummary};
 pub use journal::{Journal, JournalRecord, RecoveredJob, ReplaySummary};
-pub use metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{JobMetrics, MetricsSnapshot};
+pub use microblog_obs::{TelemetryClock, TelemetryMode};
 pub use quota::{GlobalQuota, Reservation};
 pub use request::{JobSpec, QueryRequest, QueryResponse};
 pub use stats::{GaugeReading, QueryStats, Stage, StatsConfig, StatsHub, StatsSink};
