@@ -247,7 +247,6 @@ fn pilot<R: Rng>(
     let mut max_level = i64::MIN;
     let mut degree_sum = 0.0f64;
     let mut visited = 0usize;
-    let mut nbrs = Vec::new();
     for _ in 0..steps.max(1) {
         let level = match graph.member_level(current)? {
             Some(l) => l,
@@ -260,7 +259,7 @@ fn pilot<R: Rng>(
         // average the two directions.
         degree_sum += (split.0.len() + split.1.len()) as f64 / 2.0;
         visited += 1;
-        graph.neighbors_into(current, &mut nbrs)?;
+        let nbrs = graph.neighbors(current)?;
         if nbrs.is_empty() {
             // Dangling: restart from another seed.
             current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"

@@ -68,6 +68,8 @@ pub struct QueryGraph<'c, 'p> {
     level_memo: std::collections::HashMap<UserId, Option<i64>>,
     /// Memoized `(above, below)` splits for the level walks.
     split_memo: std::collections::HashMap<UserId, LevelSplit>,
+    /// Memoized keyword-scoped neighbor lists, in connection order.
+    nbr_memo: std::collections::HashMap<UserId, Arc<Vec<UserId>>>,
 }
 
 impl<'c, 'p> QueryGraph<'c, 'p> {
@@ -83,6 +85,7 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
             salt: 0x5EED,
             level_memo: std::collections::HashMap::new(),
             split_memo: std::collections::HashMap::new(),
+            nbr_memo: std::collections::HashMap::new(),
         };
         graph.set_view(query, kind);
         graph
@@ -104,12 +107,14 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
         };
         self.level_memo.clear();
         self.split_memo.clear();
+        self.nbr_memo.clear();
     }
 
     /// Overrides the ablation salt (so repeated runs drop *different*
     /// random subsets of intra-level edges).
     pub fn with_salt(mut self, salt: u64) -> Self {
         self.salt = salt;
+        self.nbr_memo.clear();
         self
     }
 
@@ -168,32 +173,30 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
         Ok(level)
     }
 
-    /// Neighbors of `u` under the view.
+    /// Neighbors of `u` under the view, in connection order.
     ///
     /// For keyword-scoped views, every candidate neighbor's timeline is
     /// fetched (and charged, once) to test membership — this is the real
-    /// cost structure the paper pays during its walks.
-    pub fn neighbors(&mut self, u: UserId) -> Result<Vec<UserId>, ApiError> {
-        let mut out = Vec::new();
-        self.neighbors_into(u, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::neighbors`] into a caller-owned buffer, so the step loops
-    /// can reuse one allocation for the whole walk. Clears `out` first;
-    /// on error `out` holds an unspecified prefix.
-    pub fn neighbors_into(&mut self, u: UserId, out: &mut Vec<UserId>) -> Result<(), ApiError> {
-        out.clear();
+    /// cost structure the paper pays during its walks. The filtered list is
+    /// memoized until [`Self::set_view`], and only once every probe has
+    /// succeeded; `FullGraph` hands out the client's own memoized list. A
+    /// memo hit still asks the client for `u`'s connections first, so it
+    /// counts as the client hit a re-filtering step would have made.
+    pub fn neighbors(&mut self, u: UserId) -> Result<Arc<Vec<UserId>>, ApiError> {
         let conns = self.client.connections(u)?;
+        if let Some(hit) = self.nbr_memo.get(&u) {
+            return Ok(Arc::clone(hit));
+        }
+        let mut out = Vec::new();
         match self.kind {
-            ViewKind::FullGraph => out.extend_from_slice(&conns),
+            ViewKind::FullGraph => return Ok(conns),
             ViewKind::TermInduced => {
                 // Announce the whole candidate batch before the serial
                 // membership probes: a fetch scheduler can then overlap
                 // the (1 + k) round trips of a step into ~2.
                 self.client.announce_timelines(&conns);
                 for &v in conns.iter() {
-                    if self.is_member(v)? {
+                    if self.member_level(v)?.is_some() {
                         out.push(v);
                     }
                 }
@@ -202,30 +205,33 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
                 // Resolve `u`'s own level first: a non-member expands to
                 // nothing, and announcing candidates for it would strand
                 // their prefetches.
-                let lu = match self.member_level(u)? {
-                    Some(l) => l,
-                    None => return Ok(()),
-                };
-                self.client.announce_timelines(&conns);
-                for &v in conns.iter() {
-                    if let Some(lv) = self.member_level(v)? {
-                        if lv != lu || self.keep_intra_edge(u, v, keep_intra) {
-                            out.push(v);
+                if let Some(lu) = self.member_level(u)? {
+                    self.client.announce_timelines(&conns);
+                    for &v in conns.iter() {
+                        if let Some(lv) = self.member_level(v)? {
+                            if lv != lu || self.keep_intra_edge(u, v, keep_intra) {
+                                out.push(v);
+                            }
                         }
                     }
                 }
             }
         }
-        Ok(())
+        let out = Arc::new(out);
+        self.nbr_memo.insert(u, Arc::clone(&out));
+        Ok(out)
     }
 
     /// Warm path for interleaved executors: resolves `u`'s connections
     /// now (consuming any prefetch announced for them) and announces the
-    /// candidate membership probes [`Self::neighbors_into`] will issue,
+    /// candidate membership probes [`Self::neighbors`] will issue,
     /// without running the probes. Calling this for every live chain
     /// before any chain steps puts *all* of a round's timeline batches in
     /// flight at once, instead of one chain's batch at a time — the
-    /// difference between ~N serial RTT walls per round and ~one.
+    /// difference between ~N serial RTT walls per round and ~one. A node
+    /// whose list is memoized stops after the (counted) connections hit:
+    /// building its list fetched every candidate, so nothing is left to
+    /// announce.
     ///
     /// Errors are deliberately swallowed: nothing is memoized on failure,
     /// so the step's own fetch re-issues the call and settles walk-ending
@@ -237,11 +243,14 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
         let Ok(conns) = self.client.connections(u) else {
             return;
         };
+        if self.nbr_memo.contains_key(&u) {
+            return;
+        }
         match self.kind {
             ViewKind::FullGraph => {}
             ViewKind::TermInduced => self.client.announce_timelines(&conns),
             ViewKind::LevelByLevel { .. } => {
-                // Mirror `neighbors_into`: a non-member's candidates are
+                // Mirror `neighbors`: a non-member's candidates are
                 // never probed, so announcing them would strand their
                 // prefetches.
                 if matches!(self.member_level(u), Ok(Some(_))) {
@@ -323,22 +332,167 @@ impl microblog_graph::walk::NeighborSource for QueryGraph<'_, '_> {
 
     fn neighbors(&mut self, u: u32) -> Result<Cow<'_, [u32]>, ApiError> {
         let nbrs = QueryGraph::neighbors(self, UserId(u))?;
-        Ok(Cow::Owned(nbrs.into_iter().map(|v| v.0).collect()))
+        Ok(Cow::Owned(nbrs.iter().map(|v| v.0).collect()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microblog_api::{ApiProfile, MicroblogClient};
+    use microblog_api::{ApiProfile, CacheStats, MicroblogClient, QueryBudget};
     use microblog_platform::scenario::{twitter_2013, Scale};
-    use microblog_platform::UserMetric;
+    use microblog_platform::{FaultPlan, FaultyPlatform, UserMetric};
 
     fn setup() -> (microblog_platform::scenario::Scenario, AggregateQuery) {
         let s = twitter_2013(Scale::Tiny, 21);
         let kw = s.keyword("privacy").unwrap();
         let q = AggregateQuery::avg(UserMetric::FollowerCount, kw).in_window(s.window);
         (s, q)
+    }
+
+    /// The walk's neighborhood in the Tiny world for a keyword with a
+    /// multi-level graph: the search seeds and their term-induced
+    /// neighbors.
+    fn walk_nodes() -> (
+        microblog_platform::scenario::Scenario,
+        AggregateQuery,
+        Vec<UserId>,
+    ) {
+        let s = twitter_2013(Scale::Tiny, 21);
+        let q = AggregateQuery::count(s.keyword("tahrir").unwrap()).in_window(s.window);
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let seeds: Vec<UserId> = client
+            .search(q.keyword)
+            .unwrap()
+            .iter()
+            .map(|h| h.author)
+            .collect();
+        let mut nodes = seeds.clone();
+        for list in fresh_lists(&mut client, &q, ViewKind::TermInduced, &seeds) {
+            nodes.extend(list.iter());
+        }
+        nodes.sort_unstable_by_key(|u| u.0);
+        nodes.dedup();
+        (s, q, nodes)
+    }
+
+    /// Each node's neighbor list under `kind`, from a fresh view over `client`.
+    fn fresh_lists(
+        client: &mut CachingClient,
+        q: &AggregateQuery,
+        kind: ViewKind,
+        nodes: &[UserId],
+    ) -> Vec<Arc<Vec<UserId>>> {
+        let mut g = QueryGraph::new(client, q, kind);
+        nodes.iter().map(|&u| g.neighbors(u).unwrap()).collect()
+    }
+
+    #[test]
+    fn memoized_neighbors_match_a_fresh_view() {
+        let (s, q, nodes) = walk_nodes();
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let kinds = [
+            ViewKind::TermInduced,
+            ViewKind::level(Duration::DAY),
+            ViewKind::LevelByLevel {
+                interval: Duration::DAY,
+                keep_intra: 0.5,
+            },
+        ];
+        for kind in kinds {
+            let mut g = QueryGraph::new(&mut client, &q, kind);
+            let repeated: Vec<Arc<Vec<UserId>>> = nodes
+                .iter()
+                .map(|&u| {
+                    let first = g.neighbors(u).unwrap();
+                    let again = g.neighbors(u).unwrap();
+                    assert!(Arc::ptr_eq(&first, &again), "{kind:?} node {}", u.0);
+                    again
+                })
+                .collect();
+            let fresh = fresh_lists(&mut client, &q, kind, &nodes);
+            for ((u, again), want) in nodes.iter().zip(&repeated).zip(&fresh) {
+                assert_eq!(again, want, "{kind:?} node {}", u.0);
+                // Connection order: the list is a subsequence of the
+                // node's connections.
+                let conns = client.connections(*u).unwrap();
+                let mut rest = conns.iter();
+                assert!(again.iter().all(|v| rest.any(|c| c == v)));
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hit_counts_one_client_hit_and_charges_nothing() {
+        let (s, q, nodes) = walk_nodes();
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let mut g = QueryGraph::new(&mut client, &q, ViewKind::level(Duration::DAY));
+        for u in nodes {
+            let first = g.neighbors(u).unwrap();
+            let (before, cost) = (*g.client().cache_stats(), g.cost());
+            let again = g.neighbors(u).unwrap();
+            assert!(Arc::ptr_eq(&first, &again));
+            let after = *g.client().cache_stats();
+            assert_eq!(
+                after,
+                CacheStats {
+                    local_hits: before.local_hits + 1,
+                    ..before
+                }
+            );
+            assert_eq!(g.cost(), cost);
+        }
+    }
+
+    #[test]
+    fn set_view_drops_the_neighbor_memo() {
+        let (s, q, nodes) = walk_nodes();
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let (day, hour) = (
+            ViewKind::level(Duration::DAY),
+            ViewKind::level(Duration::HOUR),
+        );
+        let by_day = fresh_lists(&mut client, &q, day, &nodes);
+        let by_hour = fresh_lists(&mut client, &q, hour, &nodes);
+        let i = (0..nodes.len())
+            .find(|&i| by_day[i] != by_hour[i])
+            .expect("a node whose lists differ between the intervals");
+        let mut g = QueryGraph::new(&mut client, &q, day);
+        assert_eq!(g.neighbors(nodes[i]).unwrap(), by_day[i]);
+        g.set_view(&q, hour);
+        assert_eq!(g.neighbors(nodes[i]).unwrap(), by_hour[i]);
+    }
+
+    #[test]
+    fn failed_probe_memoizes_nothing() {
+        let (s, q, nodes) = walk_nodes();
+        let mut clean =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let kind = ViewKind::level(Duration::DAY);
+        let want = fresh_lists(&mut clean, &q, kind, &nodes);
+        let faulty =
+            FaultyPlatform::new(Arc::new(s.platform.clone()), FaultPlan::transient(11, 0.3));
+        let mut client = CachingClient::new(MicroblogClient::from_backend(
+            &faulty,
+            ApiProfile::twitter(),
+            QueryBudget::unlimited(),
+        ));
+        let mut g = QueryGraph::new(&mut client, &q, kind);
+        let mut failures = 0;
+        for (&u, want) in nodes.iter().zip(&want) {
+            let got = loop {
+                match g.neighbors(u) {
+                    Ok(list) => break list,
+                    Err(_) => failures += 1,
+                }
+            };
+            assert_eq!(&got, want, "node {}", u.0);
+        }
+        assert!(failures > 0, "the fault plan never fired");
     }
 
     #[test]
@@ -354,12 +508,12 @@ mod tests {
         let members = term.neighbors(seed).unwrap();
         assert!(members.len() <= all.len());
         // Every term-induced neighbor is a full-graph neighbor and a member.
-        for v in &members {
+        for v in members.iter() {
             assert!(all.contains(v));
             assert!(term.is_member(*v).unwrap());
         }
         // Every excluded neighbor is a non-member.
-        for v in &all {
+        for v in all.iter() {
             if !members.contains(v) {
                 assert!(!term.is_member(*v).unwrap());
             }
@@ -380,7 +534,7 @@ mod tests {
         let mut level = QueryGraph::new(&mut client, &q, ViewKind::level(interval));
         let level_nbrs = level.neighbors(seed).unwrap();
         let lu = level.member_level(seed).unwrap().unwrap();
-        for v in &term_nbrs {
+        for v in term_nbrs.iter() {
             let lv = level.member_level(*v).unwrap().unwrap();
             assert_eq!(
                 level_nbrs.contains(v),
@@ -460,7 +614,7 @@ mod tests {
             CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
         let expected: Vec<UserId> = client.connections(UserId(0)).unwrap().to_vec();
         let mut g = QueryGraph::new(&mut client, &q, ViewKind::FullGraph);
-        assert_eq!(g.neighbors(UserId(0)).unwrap(), expected);
+        assert_eq!(*g.neighbors(UserId(0)).unwrap(), expected);
         assert!(g.is_member(UserId(0)).unwrap());
     }
 }

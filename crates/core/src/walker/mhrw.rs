@@ -87,10 +87,6 @@ pub(crate) struct Mhrw<'a, 'p> {
     batch: RunningStats,
     /// The in-progress batch: `(num, den-equivalent)` per kept sample.
     batch_vals: Vec<(f64, f64)>,
-    /// Neighbor buffers of the current node and the proposal, reused
-    /// across the whole walk so each MH transition allocates nothing.
-    nbrs: Vec<UserId>,
-    prop_nbrs: Vec<UserId>,
 }
 
 impl<'a, 'p> Mhrw<'a, 'p> {
@@ -159,8 +155,6 @@ impl<'a, 'p> Mhrw<'a, 'p> {
                 .iter()
                 .map(|&(n, d)| (f64::from_bits(n), f64::from_bits(d)))
                 .collect(),
-            nbrs: Vec::new(),
-            prop_nbrs: Vec::new(),
         })
     }
 }
@@ -197,8 +191,8 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
             return Ok(Flow::Stop);
         }
         self.total_steps += 1;
-        self.graph.neighbors_into(self.current, &mut self.nbrs)?;
-        let d_u = self.nbrs.len();
+        let nbrs = self.graph.neighbors(self.current)?;
+        let d_u = nbrs.len();
         if self.phase == WalkPhase::BurnIn && self.step >= config.burn_in {
             tracer.emit(
                 Category::Walk,
@@ -263,9 +257,8 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
             return Ok(Flow::Continue);
         }
         // Propose and accept/reject.
-        let proposal = self.nbrs[rng.gen_range(0..d_u)]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-        self.graph.neighbors_into(proposal, &mut self.prop_nbrs)?;
-        let d_v = self.prop_nbrs.len();
+        let proposal = nbrs[rng.gen_range(0..d_u)]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
+        let d_v = self.graph.neighbors(proposal)?.len();
         let accept = d_v > 0 && rng.gen::<f64>() < (d_u as f64 / d_v as f64).min(1.0);
         tracer.emit(
             Category::Walk,

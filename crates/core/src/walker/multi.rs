@@ -213,7 +213,7 @@ impl<'p> Sampler<'p> for MultiSrw<'_, 'p> {
         }
         let config = self.walk.config;
         // Plan: announce what each live chain's next step will fetch.
-        // `neighbors_into` always fetches connections first; the chain's
+        // `neighbors` always fetches connections first; the chain's
         // own timeline is only fetched on level views (membership of the
         // node itself) or when the step will sample it.
         self.announce_conns.clear();

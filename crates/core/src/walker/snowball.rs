@@ -96,7 +96,7 @@ pub(crate) struct Snowball<'a, 'p> {
     sum_den: f64,
     matches_count: usize,
     samples: usize,
-    /// One neighbor buffer for the whole crawl.
+    /// The popped node's neighbors, shuffled into crawl order.
     nbrs: Vec<UserId>,
     /// Upcoming crawl targets announced to an attached fetch pipeline.
     lookahead: Vec<UserId>,
@@ -217,7 +217,7 @@ impl<'p> Sampler<'p> for Snowball<'_, 'p> {
         if self.samples >= self.config.max_nodes {
             return Ok(Flow::Stop);
         }
-        self.graph.neighbors_into(u, &mut self.nbrs)?;
+        self.nbrs.clone_from(&*self.graph.neighbors(u)?);
         self.nbrs.shuffle(rng);
         for &v in &self.nbrs {
             if !self.visited.contains(&v) {

@@ -77,9 +77,9 @@ pub fn estimate<R: CheckpointRng>(
     drive(sampler, rng, &mut CheckpointCtl::disabled())
 }
 
-/// What every SRW chain of a run shares: the view, the query, the seeds
-/// and the neighbor buffer (one allocation for the whole walk once it has
-/// grown to the view's maximum degree).
+/// What every SRW chain of a run shares: the view (whose memoized
+/// neighbor lists a warm step reads without re-filtering), the query and
+/// the seeds.
 pub(crate) struct SrwWalk<'a, 'p> {
     pub(crate) graph: QueryGraph<'a, 'p>,
     pub(crate) query: &'a AggregateQuery,
@@ -87,7 +87,6 @@ pub(crate) struct SrwWalk<'a, 'p> {
     pub(crate) seeds: Vec<UserId>,
     now: Timestamp,
     tracer: Tracer,
-    nbrs: Vec<UserId>,
 }
 
 impl<'a, 'p> SrwWalk<'a, 'p> {
@@ -107,7 +106,6 @@ impl<'a, 'p> SrwWalk<'a, 'p> {
             seeds,
             now,
             tracer,
-            nbrs: Vec::new(),
         })
     }
 }
@@ -203,8 +201,7 @@ impl SrwChain {
             WalkPhase::Walk
         });
         self.total_steps += 1;
-        walk.graph.neighbors_into(self.current, &mut walk.nbrs)?;
-        let nbrs = &walk.nbrs;
+        let nbrs = walk.graph.neighbors(self.current)?;
         // `step_in_chain` moves by single increments (restarts reset it
         // below burn-in), so the crossing iteration is exactly `== burn_in`.
         if config.burn_in > 0 && self.step_in_chain == config.burn_in {
