@@ -6,11 +6,11 @@
 //! measurement, a recovery section — checkpoint-cadence step-rate
 //! overhead (off/1k/10k) and cold journal replay of 100 in-flight
 //! jobs — and a fetch-pipeline matrix (simulated RTT ∈ {1, 50, 100} ms
-//! × pipeline off/on, cold QPS each way), and writes the numbers to
-//! `BENCH_10.json` at the repo root. That file is the perf trajectory
-//! later PRs append to, so the schema is stable and `ma-bench check
-//! FILE` verifies it — CI fails on schema drift, never on absolute
-//! numbers (which depend on hardware).
+//! × pipeline off/on, cold QPS each way), and writes the numbers to the
+//! file named by `--out` (required, so a run never overwrites a
+//! committed `BENCH_<n>.json`). Those files are the perf trajectory, so
+//! the schema is stable and `ma-bench check FILE` verifies it — CI fails
+//! on schema drift, never on absolute numbers (which depend on hardware).
 //!
 //! The workload is deterministic (fixed world seed, fixed job seeds);
 //! only the wall-clock rates and the coalescing race outcomes vary
@@ -47,7 +47,7 @@ const WORLD_SEED: u64 = 2014;
 /// the completion model the fetch scheduler is built against.
 const SIMULATED_RTT_MS: u64 = 1;
 
-/// Current BENCH_10.json schema version. v4 added the fetch-pipeline
+/// Current `BENCH_<n>.json` schema version. v4 added the fetch-pipeline
 /// matrix (RTT × pipeline cold QPS, inflight-depth/announce-batch
 /// columns, identity booleans); v3 added the queue/exec
 /// latency-percentile columns.
@@ -56,7 +56,7 @@ const SCHEMA_VERSION: u64 = 4;
 /// The simulated RTTs the pipeline matrix sweeps, in milliseconds.
 const PIPELINE_RTTS_MS: [u64; 3] = [1, 50, 100];
 
-/// Keys every BENCH_10.json must carry, with their JSON kind. `check`
+/// Keys every `BENCH_<n>.json` must carry, with their JSON kind. `check`
 /// fails on a missing key, a kind mismatch, or a stale
 /// `schema_version` — that is the schema gate.
 const SCHEMA: &[(&str, &str)] = &[
@@ -197,7 +197,7 @@ fn main() {
         Some("perf") => perf(&args[1..]),
         Some("check") => check(&args[1..]),
         _ => {
-            eprintln!("usage: ma-bench perf [--smoke] [--out PATH] | ma-bench check PATH");
+            eprintln!("usage: ma-bench perf [--smoke] --out PATH | ma-bench check PATH");
             2
         }
     };
@@ -206,13 +206,13 @@ fn main() {
 
 fn perf(args: &[String]) -> i32 {
     let mut smoke = false;
-    let mut out = String::from("BENCH_10.json");
+    let mut out = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--out" => match it.next() {
-                Some(path) => out = path.clone(),
+                Some(path) => out = Some(path.clone()),
                 None => {
                     eprintln!("--out needs a path");
                     return 2;
@@ -224,6 +224,10 @@ fn perf(args: &[String]) -> i32 {
             }
         }
     }
+    let Some(out) = out else {
+        eprintln!("usage: ma-bench perf [--smoke] --out PATH");
+        return 2;
+    };
     let params = PerfParams::new(smoke);
     let scenario = twitter_2013(Scale::Tiny, WORLD_SEED);
     eprintln!(
