@@ -356,6 +356,10 @@ pub struct CachingClient<'a> {
     shared: Option<Arc<dyn CacheLayer>>,
     prefetch: Option<&'a dyn PrefetchSink>,
     stats: CacheStats,
+    /// The last [`CachingClient::checkpoint_state`] capture; the next
+    /// capture reuses its sorted key list for every memo that did not
+    /// grow.
+    captured: ClientState,
 }
 
 impl std::fmt::Debug for CachingClient<'_> {
@@ -393,6 +397,7 @@ impl<'a> CachingClient<'a> {
             shared,
             prefetch: None,
             stats: CacheStats::default(),
+            captured: ClientState::default(),
         }
     }
 
@@ -671,21 +676,19 @@ impl<'a> CachingClient<'a> {
     }
 
     /// Captures the memo keys and accounting for a walker checkpoint.
-    pub fn checkpoint_state(&self) -> ClientState {
-        let mut searches: Vec<KeywordId> = self.searches.keys().copied().collect();
-        searches.sort_unstable_by_key(|k| k.0);
-        let mut timelines: Vec<UserId> = self.timelines.keys().copied().collect();
-        timelines.sort_unstable_by_key(|u| u.0);
-        let mut connections: Vec<UserId> = self.connections.keys().copied().collect();
-        connections.sort_unstable_by_key(|u| u.0);
-        ClientState {
-            searches,
-            timelines,
-            connections,
-            stats: self.stats,
-            meter: *self.inner.client().meter(),
-            charged: self.inner.client().budget().spent(),
-        }
+    ///
+    /// A key list is collected and sorted again only when its memo grew
+    /// since the previous capture: memos never shrink, so an unchanged
+    /// length means an unchanged key set.
+    pub fn checkpoint_state(&mut self) -> ClientState {
+        let state = &mut self.captured;
+        refresh_sorted(&mut state.searches, &self.searches);
+        refresh_sorted(&mut state.timelines, &self.timelines);
+        refresh_sorted(&mut state.connections, &self.connections);
+        state.stats = self.stats;
+        state.meter = *self.inner.client().meter();
+        state.charged = self.inner.client().budget().spent();
+        state.clone()
     }
 
     /// Installs a memoized SEARCH response without charging or touching
@@ -710,5 +713,97 @@ impl<'a> CachingClient<'a> {
     pub fn restore_accounting(&mut self, stats: CacheStats, meter: CostMeter) {
         self.stats = stats;
         self.inner.client_mut().meter = meter;
+    }
+}
+
+/// Replaces `sorted` with `memo`'s sorted keys when the lengths differ.
+fn refresh_sorted<K: Copy + Ord, V>(sorted: &mut Vec<K>, memo: &HashMap<K, V>) {
+    if sorted.len() != memo.len() {
+        sorted.clear();
+        sorted.extend(memo.keys().copied());
+        sorted.sort_unstable();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use microblog_platform::scenario::{twitter_2013, Scale};
+
+    /// A fresh collect-and-sort capture: what `checkpoint_state` must
+    /// equal whether or not it reused its sorted lists.
+    fn collected(client: &CachingClient<'_>) -> ClientState {
+        fn sorted<K: Copy + Ord, V>(memo: &HashMap<K, V>) -> Vec<K> {
+            let mut keys: Vec<K> = memo.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        }
+        ClientState {
+            searches: sorted(&client.searches),
+            timelines: sorted(&client.timelines),
+            connections: sorted(&client.connections),
+            stats: client.stats,
+            meter: *client.inner.client().meter(),
+            charged: client.inner.client().budget().spent(),
+        }
+    }
+
+    fn keys(state: &ClientState) -> (&[KeywordId], &[UserId], &[UserId]) {
+        (&state.searches, &state.timelines, &state.connections)
+    }
+
+    #[test]
+    fn checkpoint_state_equals_a_fresh_collect_and_sort() {
+        let s = twitter_2013(Scale::Tiny, 3);
+        let kw = s.keyword("privacy").expect("world has 'privacy'");
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let empty = client.checkpoint_state();
+        assert_eq!(empty, collected(&client));
+
+        // The memo grows between two captures, in descending id order so
+        // the lists need sorting.
+        client.search(kw).unwrap();
+        for u in (0..12).rev().map(UserId) {
+            client.user_timeline(u).unwrap();
+            client.connections(u).unwrap();
+        }
+        let grown = client.checkpoint_state();
+        assert_eq!(grown, collected(&client));
+        assert_eq!(grown.timelines.len(), 12);
+
+        // Memo hits change the accounting but not the key set: the lists
+        // equal a fresh capture's and the previous capture's.
+        client.user_timeline(UserId(3)).unwrap();
+        client.connections(UserId(5)).unwrap();
+        let unchanged = client.checkpoint_state();
+        assert_eq!(unchanged, collected(&client));
+        assert_eq!(keys(&unchanged), keys(&grown));
+        assert_ne!(unchanged.stats, grown.stats, "the hits were counted");
+
+        // One more key in one memo only.
+        client.user_timeline(UserId(40)).unwrap();
+        let regrown = client.checkpoint_state();
+        assert_eq!(regrown, collected(&client));
+        assert_eq!(regrown.timelines.len(), 13);
+        assert_eq!(regrown.connections, grown.connections);
+
+        // Restore: a client whose memo is rebuilt through `install_*`
+        // after one capture captures the installed keys.
+        let mut restored =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        assert_eq!(restored.checkpoint_state(), ClientState::default());
+        for (&k, data) in &client.searches {
+            restored.install_search(k, Arc::clone(data));
+        }
+        for (&u, data) in &client.timelines {
+            restored.install_timeline(u, Arc::clone(data));
+        }
+        for (&u, data) in &client.connections {
+            restored.install_connections(u, Arc::clone(data));
+        }
+        let installed = restored.checkpoint_state();
+        assert_eq!(installed, collected(&restored));
+        assert_eq!(keys(&installed), keys(&regrown));
     }
 }

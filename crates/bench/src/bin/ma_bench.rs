@@ -383,10 +383,7 @@ struct JournalSink {
 impl CheckpointSink for JournalSink {
     fn record(&self, cp: &WalkerCheckpoint) {
         self.journal
-            .append(&JournalRecord::Checkpoint {
-                job: 0,
-                checkpoint: Box::new(cp.clone()),
-            })
+            .append_checkpoint(0, cp)
             .expect("scratch journal appends");
     }
 }

@@ -1176,10 +1176,7 @@ impl JobSink {
 impl CheckpointSink for JobSink {
     fn record(&self, checkpoint: &WalkerCheckpoint) {
         if let Some(journal) = &self.journal {
-            let _ = journal.append(&JournalRecord::Checkpoint {
-                job: self.job,
-                checkpoint: Box::new(checkpoint.clone()),
-            });
+            let _ = journal.append_checkpoint(self.job, checkpoint);
         }
         self.stats.record_checkpoint();
         if self.tracer.is_enabled() {

@@ -21,13 +21,23 @@
 //!   [`JournalRecord::Interrupted`]). Each sync is stamped with a
 //!   logical-clock tick so trace timelines can order durability points
 //!   against job events.
+//! - **Records.** A job's lifecycle is `Admit`, `Reserve`, its walker
+//!   checkpoints, then `Settle` (or `Interrupted`). The first checkpoint
+//!   a [`Journal`] handle writes for a job is a whole
+//!   [`JournalRecord::Checkpoint`]; each later one is a
+//!   [`JournalRecord::CheckpointDelta`] whose client key lists hold only
+//!   the keys added since the job's previous checkpoint record (see
+//!   [`Journal::append_checkpoint`]).
 //! - **Replay.** [`replay`] folds a record stream into a
 //!   [`ReplaySummary`]: which jobs settled (and what they consumed, for
 //!   [`GlobalQuota::adopt`](crate::GlobalQuota::adopt)), and which were
 //!   in flight — each with its latest checkpoint — for the service to
-//!   requeue. Duplicate settle records are idempotent: a job settles
-//!   once no matter how often the record appears, so replay can never
-//!   double-charge the quota.
+//!   requeue. A whole checkpoint replaces the job's folded one; a delta
+//!   unions its keys into it, and a delta with nothing to extend leaves
+//!   the job with no checkpoint (it restarts from scratch). Duplicate
+//!   settle records are idempotent: a job settles once no matter how
+//!   often the record appears, so replay can never double-charge the
+//!   quota.
 //!
 //! This module is the only place in `crates/service` (and `crates/core`)
 //! allowed to touch `std::fs` for writing — the `fs-write` lint rule
@@ -35,8 +45,10 @@
 
 use crate::request::JobSpec;
 use microblog_analyzer::WalkerCheckpoint;
+use microblog_api::ClientState;
 use microblog_obs::TelemetryClock;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -60,13 +72,26 @@ pub enum JournalRecord {
         /// Reserved call count (the job's budget).
         amount: u64,
     },
-    /// A walker checkpoint was taken.
+    /// A walker checkpoint was taken: the job's first since this
+    /// journal handle opened, or one that dropped a memo key.
     Checkpoint {
         /// The job id.
         job: u64,
         /// The resumable walker state, boxed so this variant does not
-        /// dwarf the others (a checkpoint is a few kilobytes).
+        /// dwarf the others (3–82 KB for a Small-world job, most of it
+        /// the client's memo key lists).
         checkpoint: Box<WalkerCheckpoint>,
+    },
+    /// A later walker checkpoint of a job, relative to the job's
+    /// previous checkpoint record (its *base*). Replay unions the key
+    /// lists into the base, so the folded checkpoint is exactly the one
+    /// the walker emitted.
+    CheckpointDelta {
+        /// The job id.
+        job: u64,
+        /// The checkpoint, except that its client key lists hold only
+        /// the keys added since the base; every other field is whole.
+        delta: Box<WalkerCheckpoint>,
     },
     /// The job finished and its reservation was settled.
     Settle {
@@ -92,6 +117,7 @@ impl JournalRecord {
             JournalRecord::Admit { job, .. }
             | JournalRecord::Reserve { job, .. }
             | JournalRecord::Checkpoint { job, .. }
+            | JournalRecord::CheckpointDelta { job, .. }
             | JournalRecord::Settle { job, .. }
             | JournalRecord::Interrupted { job } => *job,
         }
@@ -110,7 +136,8 @@ impl JournalRecord {
 pub const SYNC_BATCH: u64 = 32;
 
 /// Upper bound on a single record's payload; anything larger is treated
-/// as corruption (a real checkpoint is a few kilobytes).
+/// as corruption (a whole checkpoint of a Small-world job is at most
+/// about 82 KB; records in the `durable` benchmark average about 5 KB).
 const MAX_RECORD: u32 = 64 << 20;
 
 /// The journal file name inside the journal directory.
@@ -272,6 +299,14 @@ pub fn replay(decoded: &DecodedJournal) -> ReplaySummary {
             JournalRecord::Checkpoint { checkpoint, .. } => {
                 fold.checkpoint = Some(checkpoint.clone());
             }
+            JournalRecord::CheckpointDelta { delta, .. } => {
+                // Without a base the job keeps no checkpoint and
+                // restarts from scratch: slower, but still correct.
+                fold.checkpoint = fold
+                    .checkpoint
+                    .take()
+                    .map(|base| Box::new(apply_delta(&base.client, delta)));
+            }
             JournalRecord::Settle { used, .. } => {
                 // First settle wins; duplicates are replay noise.
                 fold.settled.get_or_insert(*used);
@@ -307,6 +342,49 @@ pub fn replay(decoded: &DecodedJournal) -> ReplaySummary {
     summary
 }
 
+/// `delta` with each client key list unioned with `base`'s.
+fn apply_delta(base: &ClientState, delta: &WalkerCheckpoint) -> WalkerCheckpoint {
+    fn union<K: Copy + Ord>(base: &[K], added: &[K]) -> Vec<K> {
+        let mut keys = [base, added].concat();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+    let mut full = delta.clone();
+    full.client.searches = union(&base.searches, &delta.client.searches);
+    full.client.timelines = union(&base.timelines, &delta.client.timelines);
+    full.client.connections = union(&base.connections, &delta.client.connections);
+    full
+}
+
+/// `next`'s client state with each key list cut to the keys added since
+/// `base`, or `None` when a base key is missing from `next` — a delta
+/// cannot express a removal.
+fn client_delta(base: &ClientState, next: &ClientState) -> Option<ClientState> {
+    fn added<K: Copy + Ord>(base: &[K], next: &[K]) -> Option<Vec<K>> {
+        let mut base = base.iter().peekable();
+        let mut added = Vec::new();
+        for &key in next {
+            match base.peek() {
+                Some(&&old) if old < key => return None,
+                Some(&&old) if old == key => {
+                    base.next();
+                }
+                _ => added.push(key),
+            }
+        }
+        base.peek().is_none().then_some(added)
+    }
+    Some(ClientState {
+        searches: added(&base.searches, &next.searches)?,
+        timelines: added(&base.timelines, &next.timelines)?,
+        connections: added(&base.connections, &next.connections)?,
+        stats: next.stats,
+        meter: next.meter,
+        charged: next.charged,
+    })
+}
+
 struct Writer {
     file: File,
     len: u64,
@@ -328,6 +406,9 @@ pub struct Journal {
     syncs: AtomicU64,
     last_sync_tick: AtomicU64,
     dropped_appends: AtomicU64,
+    /// Per job, the client state of the last checkpoint record this
+    /// handle wrote: the base its next checkpoint may be a delta of.
+    bases: Mutex<HashMap<u64, ClientState>>,
 }
 
 impl Journal {
@@ -366,6 +447,7 @@ impl Journal {
             syncs: AtomicU64::new(0),
             last_sync_tick: AtomicU64::new(0),
             dropped_appends: AtomicU64::new(0),
+            bases: Mutex::new(HashMap::new()),
         };
         Ok((journal, summary))
     }
@@ -379,7 +461,60 @@ impl Journal {
     /// for critical records, every [`SYNC_BATCH`] otherwise). After a
     /// torn tail the append is counted as dropped instead of written —
     /// the stream past the tear is already untrustworthy.
+    ///
+    /// The job's delta base is dropped: a `Settle` or `Interrupted` ends
+    /// the job, and a checkpoint record written here would supersede the
+    /// base. Walker checkpoints go through [`Journal::append_checkpoint`].
     pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
+        self.bases().remove(&record.job());
+        self.write(record).map(drop)
+    }
+
+    /// Appends a walker checkpoint of `job`. The job's first checkpoint
+    /// since this handle opened is written whole
+    /// ([`JournalRecord::Checkpoint`]); every later one is a
+    /// [`JournalRecord::CheckpointDelta`] against the job's previous
+    /// checkpoint record, unless a key of that record is missing from
+    /// `checkpoint`, which is written whole again. A failed or dropped
+    /// append leaves the job without a base, so its next checkpoint is
+    /// whole.
+    ///
+    /// One job's checkpoints must be appended by one thread at a time,
+    /// as the engine's one-walker-per-job rule guarantees: a delta has to
+    /// follow its base in the file.
+    pub fn append_checkpoint(&self, job: u64, checkpoint: &WalkerCheckpoint) -> io::Result<()> {
+        let base = self.bases().remove(&job);
+        let record = match base.and_then(|base| client_delta(&base, &checkpoint.client)) {
+            Some(client) => JournalRecord::CheckpointDelta {
+                job,
+                delta: Box::new(WalkerCheckpoint {
+                    algorithm: checkpoint.algorithm.clone(),
+                    seed: checkpoint.seed,
+                    steps: checkpoint.steps,
+                    rng: checkpoint.rng.clone(),
+                    client,
+                    sampler: checkpoint.sampler.clone(),
+                }),
+            },
+            None => JournalRecord::Checkpoint {
+                job,
+                checkpoint: Box::new(checkpoint.clone()),
+            },
+        };
+        if self.write(&record)? {
+            self.bases().insert(job, checkpoint.client.clone());
+        }
+        Ok(())
+    }
+
+    fn bases(&self) -> std::sync::MutexGuard<'_, HashMap<u64, ClientState>> {
+        // Each update is one map operation, so a poisoned map is whole.
+        self.bases.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Frames and writes one record; `Ok(false)` when a torn tail made
+    /// it a dropped append.
+    fn write(&self, record: &JournalRecord) -> io::Result<bool> {
         let payload = serde_json::to_string(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let payload = payload.as_bytes();
@@ -393,7 +528,7 @@ impl Journal {
         let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         if writer.torn {
             self.dropped_appends.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+            return Ok(false);
         }
         writer.file.write_all(&frame)?;
         writer.len += frame.len() as u64;
@@ -402,7 +537,7 @@ impl Journal {
         if record.is_critical() || writer.pending >= SYNC_BATCH {
             self.sync_locked(&mut writer)?;
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Forces an fsync of everything appended so far.

@@ -84,7 +84,7 @@ fn checkpoint() -> &'static WalkerCheckpoint {
 
 /// Builds a record from a generator triple; `kind` picks the variant.
 fn record(kind: u8, job: u64, amount: u64) -> JournalRecord {
-    match kind % 5 {
+    match kind % 6 {
         0 => JournalRecord::Admit {
             job,
             spec: spec(1_000 + amount, job),
@@ -98,7 +98,11 @@ fn record(kind: u8, job: u64, amount: u64) -> JournalRecord {
             checkpoint: Box::new(checkpoint().clone()),
         },
         3 => JournalRecord::Settle { job, used: amount },
-        _ => JournalRecord::Interrupted { job },
+        4 => JournalRecord::Interrupted { job },
+        _ => JournalRecord::CheckpointDelta {
+            job,
+            delta: Box::new(checkpoint().clone()),
+        },
     }
 }
 
@@ -128,7 +132,7 @@ proptest! {
     // replays without panicking or inventing settlement.
     #[test]
     fn truncation_yields_a_clean_prefix(
-        seed_records in proptest::collection::vec((0u8..5, 0u64..4, 0u64..2_000), 1..10),
+        seed_records in proptest::collection::vec((0u8..6, 0u64..4, 0u64..2_000), 1..10),
         cut_frac in 0.0f64..1.0,
     ) {
         let records: Vec<JournalRecord> =
@@ -160,7 +164,7 @@ proptest! {
     // flip survive verbatim, and settlement never grows.
     #[test]
     fn bit_flips_never_panic_or_inflate_settlement(
-        seed_records in proptest::collection::vec((0u8..5, 0u64..4, 0u64..2_000), 1..8),
+        seed_records in proptest::collection::vec((0u8..6, 0u64..4, 0u64..2_000), 1..8),
         flip_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
