@@ -24,7 +24,7 @@
 
 use crate::client::{SearchHit, UserView};
 use crate::meter::CostMeter;
-use microblog_obs::{Category, FieldValue, Tracer};
+use microblog_obs::{EventName, FieldValue, Tracer};
 use microblog_platform::{ApiEndpoint, KeywordId, UserId};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -408,10 +408,9 @@ impl<L: CacheLayer> CoalescingLayer<L> {
         self.counters.snapshot()
     }
 
-    fn trace(&self, name: &'static str, endpoint: ApiEndpoint) {
+    fn trace(&self, name: EventName, endpoint: ApiEndpoint) {
         if self.tracer.is_enabled() {
             self.tracer.emit(
-                Category::Coalesce,
                 name,
                 &[(
                     "endpoint",
@@ -424,10 +423,10 @@ impl<L: CacheLayer> CoalescingLayer<L> {
     fn trace_flight<T>(&self, outcome: &(Flight<T>, bool), endpoint: ApiEndpoint) {
         let (flight, parked) = outcome;
         if *parked {
-            self.trace("join", endpoint);
+            self.trace(EventName::JOIN, endpoint);
         }
         if matches!(flight, Flight::Lead) {
-            self.trace("lead", endpoint);
+            self.trace(EventName::LEAD, endpoint);
         }
     }
 }
@@ -465,7 +464,7 @@ impl<L: CacheLayer> CacheLayer for CoalescingLayer<L> {
     fn abort_search(&self, kw: KeywordId) {
         if self.searches.resolve(kw) {
             self.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            self.trace("abort", ApiEndpoint::Search);
+            self.trace(EventName::ABORT, ApiEndpoint::Search);
         }
     }
     fn join_timeline(&self, u: UserId) -> Flight<CachedTimeline> {
@@ -478,7 +477,7 @@ impl<L: CacheLayer> CacheLayer for CoalescingLayer<L> {
     fn abort_timeline(&self, u: UserId) {
         if self.timelines.resolve(u) {
             self.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            self.trace("abort", ApiEndpoint::Timeline);
+            self.trace(EventName::ABORT, ApiEndpoint::Timeline);
         }
     }
     fn join_connections(&self, u: UserId) -> Flight<CachedConnections> {
@@ -491,7 +490,7 @@ impl<L: CacheLayer> CacheLayer for CoalescingLayer<L> {
     fn abort_connections(&self, u: UserId) {
         if self.connections.resolve(u) {
             self.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            self.trace("abort", ApiEndpoint::Connections);
+            self.trace(EventName::ABORT, ApiEndpoint::Connections);
         }
     }
 }

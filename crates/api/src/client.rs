@@ -17,7 +17,7 @@ use crate::meter::CostMeter;
 use crate::profile::ApiProfile;
 use crate::resilient::{ResilienceStats, ResilientClient};
 use crate::sched::{FetchKey, PrefetchSink};
-use microblog_obs::{Category, FieldValue, Tracer};
+use microblog_obs::{EventName, FieldValue, Tracer};
 use microblog_platform::metric::MetricInputs;
 use microblog_platform::{
     ApiBackend, ApiEndpoint, Fault, KeywordId, Platform, Post, PostId, TimeWindow, Timestamp,
@@ -168,8 +168,7 @@ impl<'a> MicroblogClient<'a> {
     pub(crate) fn trace_charge(&self, endpoint: ApiEndpoint, calls: u64, source: &'static str) {
         if self.tracer.is_enabled() {
             self.tracer.emit(
-                Category::Charge,
-                "charge",
+                EventName::CHARGE,
                 &[
                     ("endpoint", FieldValue::from(endpoint_name(endpoint))),
                     ("calls", FieldValue::U64(calls)),
@@ -423,11 +422,10 @@ impl<'a> CachingClient<'a> {
     }
 
     /// Records a memo/shared-cache outcome as a trace event.
-    fn trace_cache(&self, name: &'static str, endpoint: ApiEndpoint) {
+    fn trace_cache(&self, name: EventName, endpoint: ApiEndpoint) {
         let tracer = self.inner.client().tracer();
         if tracer.is_enabled() {
             tracer.emit(
-                Category::Cache,
                 name,
                 &[("endpoint", FieldValue::from(endpoint_name(endpoint)))],
             );
@@ -465,7 +463,7 @@ impl<'a> CachingClient<'a> {
     /// Cached SEARCH.
     pub fn search(&mut self, kw: KeywordId) -> Result<Arc<Vec<SearchHit>>, ApiError> {
         if let Some(hit) = self.searches.get(&kw) {
-            self.trace_cache("local_hit", ApiEndpoint::Search);
+            self.trace_cache(EventName::LOCAL_HIT, ApiEndpoint::Search);
             self.stats.local_hits += 1;
             return Ok(Arc::clone(hit));
         }
@@ -474,7 +472,7 @@ impl<'a> CachingClient<'a> {
             None => Flight::Lead,
         };
         if let Flight::Ready(entry) = flight {
-            self.trace_cache("shared_hit", ApiEndpoint::Search);
+            self.trace_cache(EventName::SHARED_HIT, ApiEndpoint::Search);
             self.inner
                 .absorb_shared_hit(ApiEndpoint::Search, entry.calls)?;
             self.stats.shared_hits += 1;
@@ -482,7 +480,7 @@ impl<'a> CachingClient<'a> {
             self.searches.insert(kw, Arc::clone(&entry.data));
             return Ok(entry.data);
         }
-        self.trace_cache("miss", ApiEndpoint::Search);
+        self.trace_cache(EventName::MISS, ApiEndpoint::Search);
         let before = self.inner.client().meter().search;
         let fresh = match self.inner.search(kw) {
             Ok(hits) => Arc::new(hits),
@@ -514,7 +512,7 @@ impl<'a> CachingClient<'a> {
     /// Cached USER TIMELINE.
     pub fn user_timeline(&mut self, u: UserId) -> Result<Arc<UserView>, ApiError> {
         if let Some(hit) = self.timelines.get(&u) {
-            self.trace_cache("local_hit", ApiEndpoint::Timeline);
+            self.trace_cache(EventName::LOCAL_HIT, ApiEndpoint::Timeline);
             self.stats.local_hits += 1;
             return Ok(Arc::clone(hit));
         }
@@ -523,7 +521,7 @@ impl<'a> CachingClient<'a> {
             None => Flight::Lead,
         };
         if let Flight::Ready(entry) = flight {
-            self.trace_cache("shared_hit", ApiEndpoint::Timeline);
+            self.trace_cache(EventName::SHARED_HIT, ApiEndpoint::Timeline);
             self.inner
                 .absorb_shared_hit(ApiEndpoint::Timeline, entry.calls)?;
             self.stats.shared_hits += 1;
@@ -531,7 +529,7 @@ impl<'a> CachingClient<'a> {
             self.timelines.insert(u, Arc::clone(&entry.data));
             return Ok(entry.data);
         }
-        self.trace_cache("miss", ApiEndpoint::Timeline);
+        self.trace_cache(EventName::MISS, ApiEndpoint::Timeline);
         let before = self.inner.client().meter().timeline;
         let fresh = match self.inner.user_timeline(u) {
             Ok(view) => Arc::new(view),
@@ -561,7 +559,7 @@ impl<'a> CachingClient<'a> {
     /// Cached USER CONNECTIONS.
     pub fn connections(&mut self, u: UserId) -> Result<Arc<Vec<UserId>>, ApiError> {
         if let Some(hit) = self.connections.get(&u) {
-            self.trace_cache("local_hit", ApiEndpoint::Connections);
+            self.trace_cache(EventName::LOCAL_HIT, ApiEndpoint::Connections);
             self.stats.local_hits += 1;
             return Ok(Arc::clone(hit));
         }
@@ -570,7 +568,7 @@ impl<'a> CachingClient<'a> {
             None => Flight::Lead,
         };
         if let Flight::Ready(entry) = flight {
-            self.trace_cache("shared_hit", ApiEndpoint::Connections);
+            self.trace_cache(EventName::SHARED_HIT, ApiEndpoint::Connections);
             self.inner
                 .absorb_shared_hit(ApiEndpoint::Connections, entry.calls)?;
             self.stats.shared_hits += 1;
@@ -578,7 +576,7 @@ impl<'a> CachingClient<'a> {
             self.connections.insert(u, Arc::clone(&entry.data));
             return Ok(entry.data);
         }
-        self.trace_cache("miss", ApiEndpoint::Connections);
+        self.trace_cache(EventName::MISS, ApiEndpoint::Connections);
         let before = self.inner.client().meter().connections;
         let fresh = match self.inner.connections(u) {
             Ok(merged) => Arc::new(merged),
@@ -614,19 +612,18 @@ impl<'a> CachingClient<'a> {
     /// functions of the logical fetch history (memo-filtered key counts,
     /// buffered-result counts), never of scheduler thread timing, so
     /// traces stay byte-identical across runs and pipeline depths.
-    fn trace_sched(&self, name: &'static str, endpoint: Option<ApiEndpoint>, count: usize) {
+    fn trace_sched(&self, name: EventName, endpoint: Option<ApiEndpoint>, count: usize) {
         let tracer = self.inner.client().tracer();
         if tracer.is_enabled() {
             match endpoint {
                 Some(e) => tracer.emit(
-                    Category::Sched,
                     name,
                     &[
                         ("endpoint", FieldValue::from(endpoint_name(e))),
                         ("count", FieldValue::from(count)),
                     ],
                 ),
-                None => tracer.emit(Category::Sched, name, &[("count", FieldValue::from(count))]),
+                None => tracer.emit(name, &[("count", FieldValue::from(count))]),
             }
         }
     }
@@ -644,7 +641,7 @@ impl<'a> CachingClient<'a> {
         if keys.is_empty() {
             return;
         }
-        self.trace_sched("announce", Some(ApiEndpoint::Timeline), keys.len());
+        self.trace_sched(EventName::ANNOUNCE, Some(ApiEndpoint::Timeline), keys.len());
         sink.announce(&keys);
     }
 
@@ -660,7 +657,11 @@ impl<'a> CachingClient<'a> {
         if keys.is_empty() {
             return;
         }
-        self.trace_sched("announce", Some(ApiEndpoint::Connections), keys.len());
+        self.trace_sched(
+            EventName::ANNOUNCE,
+            Some(ApiEndpoint::Connections),
+            keys.len(),
+        );
         sink.announce(&keys);
     }
 
@@ -671,7 +672,7 @@ impl<'a> CachingClient<'a> {
     pub fn drain_prefetch(&mut self) -> usize {
         let Some(sink) = self.prefetch else { return 0 };
         let outstanding = sink.drain();
-        self.trace_sched("drain", None, outstanding);
+        self.trace_sched(EventName::DRAIN, None, outstanding);
         outstanding
     }
 

@@ -30,7 +30,7 @@ use crate::client::{endpoint_name, MicroblogClient, SearchHit, UserView};
 use crate::error::ApiError;
 use crate::meter::CostMeter;
 use crate::profile::ApiProfile;
-use microblog_obs::{Category, FieldValue};
+use microblog_obs::{EventName, FieldValue};
 use microblog_platform::{ApiEndpoint, Duration, KeywordId, Timestamp, UserId};
 use serde::{Deserialize, Serialize};
 
@@ -322,7 +322,7 @@ impl<'a> ResilientClient<'a> {
     /// against `endpoint`, plus any extra fields.
     fn trace_res(
         &self,
-        name: &'static str,
+        name: EventName,
         endpoint: ApiEndpoint,
         extra: &[(&'static str, FieldValue)],
     ) {
@@ -333,7 +333,7 @@ impl<'a> ResilientClient<'a> {
         let mut fields = Vec::with_capacity(extra.len() + 1);
         fields.push(("endpoint", FieldValue::from(endpoint_name(endpoint))));
         fields.extend_from_slice(extra);
-        tracer.emit(Category::Resilience, name, &fields);
+        tracer.emit(name, &fields);
     }
 
     /// Retried SEARCH.
@@ -389,11 +389,11 @@ impl<'a> ResilientClient<'a> {
                         // cooldown eventually passes.
                         self.clock = self.clock + gap;
                         self.stats.breaker_fast_fails += 1;
-                        self.trace_res("breaker_fast_fail", endpoint, &[]);
+                        self.trace_res(EventName::BREAKER_FAST_FAIL, endpoint, &[]);
                         return self.give_up(ApiError::CircuitOpen { endpoint });
                     }
                     b.state = BreakerState::HalfOpen;
-                    self.trace_res("breaker_probe", endpoint, &[]);
+                    self.trace_res(EventName::BREAKER_PROBE, endpoint, &[]);
                 }
             }
             attempts += 1;
@@ -419,7 +419,7 @@ impl<'a> ResilientClient<'a> {
                             self.stats.rate_limit_wait = self.stats.rate_limit_wait + retry_after;
                             self.stats.rate_limited_hits += 1;
                             self.trace_res(
-                                "rate_limited",
+                                EventName::RATE_LIMITED,
                                 endpoint,
                                 &[("wait_secs", FieldValue::I64(retry_after.0))],
                             );
@@ -459,7 +459,7 @@ impl<'a> ResilientClient<'a> {
                     self.stats.backoff_wait = self.stats.backoff_wait + sleep;
                     self.stats.retries += 1;
                     self.trace_res(
-                        "retry",
+                        EventName::RETRY,
                         endpoint,
                         &[
                             ("attempt", FieldValue::U64(u64::from(attempts))),
@@ -484,7 +484,11 @@ impl<'a> ResilientClient<'a> {
             ApiEndpoint::Timeline => self.stats.wasted.timeline += calls,
         }
         if calls > 0 {
-            self.trace_res("waste", endpoint, &[("calls", FieldValue::U64(calls))]);
+            self.trace_res(
+                EventName::WASTE,
+                endpoint,
+                &[("calls", FieldValue::U64(calls))],
+            );
         }
     }
 
@@ -496,7 +500,7 @@ impl<'a> ResilientClient<'a> {
         b.consecutive = 0;
         if b.state == BreakerState::HalfOpen {
             b.state = BreakerState::Closed;
-            self.trace_res("breaker_close", endpoint, &[]);
+            self.trace_res(EventName::BREAKER_CLOSE, endpoint, &[]);
         }
     }
 
@@ -511,7 +515,7 @@ impl<'a> ResilientClient<'a> {
                 b.state = BreakerState::Open;
                 b.open_until = self.clock + cfg.cooldown;
                 self.stats.breaker_opens += 1;
-                self.trace_res("breaker_open", endpoint, &[]);
+                self.trace_res(EventName::BREAKER_OPEN, endpoint, &[]);
             }
             BreakerState::Closed => {
                 b.consecutive += 1;
@@ -520,7 +524,7 @@ impl<'a> ResilientClient<'a> {
                     b.open_until = self.clock + cfg.cooldown;
                     b.consecutive = 0;
                     self.stats.breaker_opens += 1;
-                    self.trace_res("breaker_open", endpoint, &[]);
+                    self.trace_res(EventName::BREAKER_OPEN, endpoint, &[]);
                 }
             }
             BreakerState::Open => {}
@@ -536,8 +540,7 @@ impl<'a> ResilientClient<'a> {
         let tracer = self.inner.tracer();
         if tracer.is_enabled() {
             tracer.emit(
-                Category::Resilience,
-                "give_up",
+                EventName::GIVE_UP,
                 &[("error", FieldValue::from(err.to_string()))],
             );
         }

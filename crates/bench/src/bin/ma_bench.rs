@@ -16,6 +16,10 @@
 //! only the wall-clock rates and the coalescing race outcomes vary
 //! run-to-run. `--smoke` shrinks everything for CI.
 
+// A benchmark times real hardware, so the workspace's wall-clock ban
+// (`crates/clippy.toml`) does not apply here.
+#![allow(clippy::disallowed_methods)]
+
 use microblog_analyzer::prelude::*;
 use microblog_analyzer::walker::srw::{self, SrwConfig};
 use microblog_analyzer::{CheckpointCtl, CheckpointSink, WalkerCheckpoint};

@@ -15,7 +15,7 @@ use microblog_api::{
     ApiProfile, CachingClient, MicroblogClient, PrefetchSink, QueryBudget, ResilienceStats,
     ResilientClient, RetryPolicy,
 };
-use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_obs::{FieldValue, SpanName, Tracer, WalkPhase};
 use microblog_platform::{ApiBackend, Duration, Platform};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -295,8 +295,7 @@ impl<'p> MicroblogAnalyzer<'p> {
             .with_tracer(tracer.clone());
         let span = if tracer.is_enabled() {
             tracer.span_start(
-                Category::Job,
-                "estimate",
+                SpanName::ESTIMATE,
                 &[
                     ("algorithm", FieldValue::from(algorithm.name())),
                     ("seed", FieldValue::U64(seed)),
@@ -414,8 +413,7 @@ impl<'p> MicroblogAnalyzer<'p> {
                 Err(e) => FieldValue::from(e.to_string()),
             };
             tracer.span_end(
-                Category::Job,
-                "estimate",
+                SpanName::ESTIMATE,
                 span,
                 &[
                     ("charged", FieldValue::U64(budget.spent())),

@@ -18,7 +18,7 @@ use crate::query::AggregateQuery;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::{ApiError, CachingClient};
 use microblog_graph::conductance::conductance_level;
-use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_obs::{EventName, FieldValue, SpanName, Tracer, WalkPhase};
 use microblog_platform::{Duration, UserId};
 use rand::Rng;
 
@@ -99,8 +99,7 @@ pub fn select_interval<R: Rng>(
 pub(crate) fn selected(tracer: &Tracer, scores: &[IntervalScore]) -> IntervalScore {
     let best = scores[0]; // ma-lint: allow(panic-safety) reason="Pilots::rank returns at least one score or an error"
     tracer.emit(
-        Category::Walk,
-        "interval_selected",
+        EventName::INTERVAL_SELECTED,
         &[
             ("interval_secs", FieldValue::I64(best.interval.0)),
             ("conductance", FieldValue::F64(best.conductance)),
@@ -159,16 +158,14 @@ impl Pilots {
         if self.span.is_none() {
             self.tracer.set_phase(WalkPhase::Pilot);
             self.span = Some(self.tracer.span_start(
-                Category::Walk,
-                "pilot",
+                SpanName::PILOT,
                 &[("candidates", FieldValue::from(self.candidates))],
             ));
         }
         graph.set_view(query, ViewKind::level(interval));
         let (h, d) = pilot(graph, seeds, steps, rng)?;
         self.tracer.emit(
-            Category::Walk,
-            "pilot",
+            EventName::PILOT,
             &[
                 ("interval_secs", FieldValue::I64(interval.0)),
                 ("h", FieldValue::F64(h)),
@@ -183,8 +180,7 @@ impl Pilots {
     pub(crate) fn close(&self) {
         if let Some(span) = self.span {
             self.tracer.span_end(
-                Category::Walk,
-                "pilot",
+                SpanName::PILOT,
                 span,
                 &[("scored", FieldValue::from(self.done.len()))],
             );

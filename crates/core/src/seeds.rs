@@ -8,7 +8,7 @@
 use crate::error::EstimateError;
 use crate::query::AggregateQuery;
 use microblog_api::CachingClient;
-use microblog_obs::{Category, FieldValue, WalkPhase};
+use microblog_obs::{EventName, FieldValue, WalkPhase};
 use microblog_platform::UserId;
 
 /// Fetches the deduplicated seed-user set for `query`.
@@ -32,8 +32,7 @@ pub fn fetch_seeds(
     seeds.sort_unstable();
     seeds.dedup();
     tracer.emit(
-        Category::Walk,
-        "seeds",
+        EventName::SEEDS,
         &[
             ("hits", FieldValue::from(hits.len())),
             ("seeds", FieldValue::from(seeds.len())),

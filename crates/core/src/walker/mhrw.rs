@@ -18,7 +18,7 @@ use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::CachingClient;
 use microblog_graph::sizing::CollisionCounter;
-use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_obs::{EventName, FieldValue, Tracer, WalkPhase};
 use microblog_platform::{Timestamp, UserId};
 use rand::Rng;
 
@@ -195,8 +195,7 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
         let d_u = nbrs.len();
         if self.phase == WalkPhase::BurnIn && self.step >= config.burn_in {
             tracer.emit(
-                Category::Walk,
-                "burnin_end",
+                EventName::BURNIN_END,
                 &[
                     ("step", FieldValue::from(self.total_steps)),
                     ("chain_step", FieldValue::from(self.step)),
@@ -214,8 +213,7 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
             self.samples += 1;
             self.collisions.push(self.current.0, 1);
             tracer.emit(
-                Category::Walk,
-                "sample",
+                EventName::SAMPLE,
                 &[
                     ("node", FieldValue::from(self.current.0)),
                     ("degree", FieldValue::from(d_u)),
@@ -241,8 +239,7 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
         }
         if d_u == 0 {
             tracer.emit(
-                Category::Walk,
-                "restart",
+                EventName::RESTART,
                 &[
                     ("node", FieldValue::from(self.current.0)),
                     ("step", FieldValue::from(self.total_steps)),
@@ -261,8 +258,11 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
         let d_v = self.graph.neighbors(proposal)?.len();
         let accept = d_v > 0 && rng.gen::<f64>() < (d_u as f64 / d_v as f64).min(1.0);
         tracer.emit(
-            Category::Walk,
-            if accept { "mh_accept" } else { "mh_reject" },
+            if accept {
+                EventName::MH_ACCEPT
+            } else {
+                EventName::MH_REJECT
+            },
             &[
                 ("from", FieldValue::from(self.current.0)),
                 ("proposal", FieldValue::from(proposal.0)),

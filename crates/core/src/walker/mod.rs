@@ -29,7 +29,7 @@ use crate::estimate::Estimate;
 use crate::query::{Aggregate, AggregateQuery};
 use microblog_api::{CachingClient, UserView};
 use microblog_graph::sizing::CollisionCounter;
-use microblog_obs::{Category, FieldValue};
+use microblog_obs::{FieldValue, SpanName};
 use microblog_platform::Timestamp;
 
 /// What a [`Sampler::step`] tells the driver.
@@ -85,7 +85,7 @@ pub(crate) fn drive<'p, S: Sampler<'p>, R: CheckpointRng>(
     ctl: &mut CheckpointCtl<'_>,
 ) -> Result<Estimate, EstimateError> {
     let tracer = sampler.client().tracer().clone();
-    let span = tracer.span_start(Category::Job, "walk", &[]);
+    let span = tracer.span_start(SpanName::WALK, &[]);
     let walked = loop {
         ctl.tick(|| {
             let client = sampler.client();
@@ -105,8 +105,7 @@ pub(crate) fn drive<'p, S: Sampler<'p>, R: CheckpointRng>(
     if tracer.is_enabled() {
         let outcome = if result.is_ok() { "ok" } else { "error" };
         tracer.span_end(
-            Category::Job,
-            "walk",
+            SpanName::WALK,
             span,
             &[("outcome", FieldValue::from(outcome))],
         );

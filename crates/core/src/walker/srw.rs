@@ -21,7 +21,7 @@ use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::{ApiError, CachingClient};
 use microblog_graph::diagnostics::geweke_z_default;
-use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_obs::{EventName, FieldValue, Tracer, WalkPhase};
 use microblog_platform::{Timestamp, UserId};
 use rand::Rng;
 
@@ -206,8 +206,7 @@ impl SrwChain {
         // below burn-in), so the crossing iteration is exactly `== burn_in`.
         if config.burn_in > 0 && self.step_in_chain == config.burn_in {
             tracer.emit(
-                Category::Walk,
-                "burnin_end",
+                EventName::BURNIN_END,
                 &[
                     ("chain", FieldValue::from(index)),
                     ("step", FieldValue::from(self.total_steps)),
@@ -225,8 +224,7 @@ impl SrwChain {
             self.batch_accum.push(u, d, matches, num, den, false);
             self.kept += 1;
             tracer.emit(
-                Category::Walk,
-                "sample",
+                EventName::SAMPLE,
                 &[
                     ("chain", FieldValue::from(index)),
                     ("node", FieldValue::from(u)),
@@ -240,8 +238,7 @@ impl SrwChain {
                 if history.len().is_multiple_of(GEWEKE_EVERY) {
                     if let Some(z) = geweke_z_default(history) {
                         tracer.emit(
-                            Category::Diag,
-                            "geweke",
+                            EventName::GEWEKE,
                             &[
                                 ("z", FieldValue::F64(z)),
                                 ("kept", FieldValue::from(history.len())),
@@ -260,8 +257,7 @@ impl SrwChain {
         if nbrs.is_empty() {
             // Dangling under this view: restart the chain from a seed.
             tracer.emit(
-                Category::Walk,
-                "restart",
+                EventName::RESTART,
                 &[
                     ("chain", FieldValue::from(index)),
                     ("node", FieldValue::from(self.current.0)),
@@ -274,8 +270,7 @@ impl SrwChain {
         }
         let next = nbrs[rng.gen_range(0..nbrs.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
         tracer.emit(
-            Category::Walk,
-            "step",
+            EventName::STEP,
             &[
                 ("chain", FieldValue::from(index)),
                 ("from", FieldValue::from(self.current.0)),

@@ -32,7 +32,7 @@ use crate::query::{Aggregate, AggregateQuery};
 use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::{ApiError, CachingClient};
-use microblog_obs::{Category, FieldValue, Tracer, WalkPhase};
+use microblog_obs::{EventName, FieldValue, Tracer, WalkPhase};
 use microblog_platform::{Duration, UserId};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
@@ -652,7 +652,7 @@ impl Tarw<'_, '_> {
                 break;
             }
             let next = above[rng.gen_range(0..above.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            self.trace_level_move("level_up", current, next)?;
+            self.trace_level_move(EventName::LEVEL_UP, current, next)?;
             current = next;
             up_path.push(current);
         }
@@ -670,7 +670,7 @@ impl Tarw<'_, '_> {
                 break;
             }
             let next = below[rng.gen_range(0..below.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
-            self.trace_level_move("level_down", current, next)?;
+            self.trace_level_move(EventName::LEVEL_DOWN, current, next)?;
             current = next;
             down_path.push(current);
         }
@@ -714,8 +714,7 @@ impl Tarw<'_, '_> {
         sums.count += matches as u8 as f64 / p;
         sums.used += 1;
         self.tracer.emit(
-            Category::Walk,
-            "sample",
+            EventName::SAMPLE,
             &[
                 ("node", FieldValue::from(u.0)),
                 ("p", FieldValue::F64(p)),
@@ -730,7 +729,7 @@ impl Tarw<'_, '_> {
     /// that produced the candidate set, so this costs no API calls.
     fn trace_level_move(
         &mut self,
-        name: &'static str,
+        name: EventName,
         from: UserId,
         to: UserId,
     ) -> Result<(), ApiError> {
@@ -740,7 +739,6 @@ impl Tarw<'_, '_> {
         let level = self.graph.member_level(to)?;
         self.tracer.set_level(level);
         self.tracer.emit(
-            Category::Walk,
             name,
             &[
                 ("from", FieldValue::from(from.0)),

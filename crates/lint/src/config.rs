@@ -6,10 +6,9 @@
 //! workspace-relative with `/` separators; matching is by prefix, so
 //! `crates/bench/` covers every file under that crate.
 
-/// Rule identifiers, as used in findings, suppression comments and the
-/// baseline file.
-pub const RULES: [&str; 13] = [
-    "wall-clock",
+/// Rule identifiers, as used in findings and suppression comments. A
+/// suppression naming any other rule is itself a `suppression` finding.
+pub const RULES: [&str; 11] = [
     "panic-safety",
     "determinism",
     "charging",
@@ -19,7 +18,6 @@ pub const RULES: [&str; 13] = [
     "fs-write",
     "rng-confinement",
     "checkpoint-coverage",
-    "schema-closed",
     "blocking-fetch-in-chain",
     "suppression",
 ];
@@ -30,9 +28,6 @@ pub const RULES: [&str; 13] = [
 pub struct Config {
     /// Path prefixes never scanned at all.
     pub skip: Vec<String>,
-    /// Path prefixes where wall-clock time is legitimate (benchmarks
-    /// time real hardware; everything else uses the simulated clock).
-    pub wall_clock_allowed: Vec<String>,
     /// Crates whose library code must be panic-free (prefixes of the
     /// form `crates/<name>/src/`).
     pub panic_safety_paths: Vec<String>,
@@ -75,13 +70,6 @@ pub struct Config {
     /// the analyzer's run-RNG construction, and the resilient client's
     /// seeded jitter.
     pub rng_allowed_paths: Vec<String>,
-    /// Files whose `event_names` / `span_names` tables publish the
-    /// closed trace vocabulary (the obs schema module).
-    pub schema_vocab_files: Vec<String>,
-    /// Paths whose tracer call sites (`emit` / `span_start` /
-    /// `span_end` with literal category + name) must stay inside that
-    /// vocabulary.
-    pub schema_use_paths: Vec<String>,
     /// Files defining the checkpoint state structs the
     /// `checkpoint-coverage` rule guards (struct names ending in
     /// `State` plus `WalkerCheckpoint` itself).
@@ -112,13 +100,6 @@ impl Default for Config {
                 // The linter's own fixtures deliberately violate every rule.
                 "crates/lint/tests/fixtures/",
                 "crates/verify/tests/fixtures/",
-            ]),
-            wall_clock_allowed: s(&[
-                // Benchmarks measure real hardware time by definition.
-                "crates/bench/",
-                // The linter times its own scan (reported in --json);
-                // nothing estimate-bearing runs here.
-                "crates/lint/",
             ]),
             panic_safety_paths: s(&[
                 "crates/api/src/",
@@ -178,13 +159,6 @@ impl Default for Config {
                 "crates/core/src/analyzer.rs",
                 // Seeded SplitMix64 jitter for decorrelated backoff.
                 "crates/api/src/resilient.rs",
-            ]),
-            schema_vocab_files: s(&["crates/obs/src/schema.rs"]),
-            schema_use_paths: s(&[
-                "crates/api/src/",
-                "crates/core/src/",
-                "crates/obs/src/",
-                "crates/service/src/",
             ]),
             checkpoint_state_files: s(&["crates/core/src/checkpoint.rs"]),
             checkpoint_use_paths: s(&["crates/core/src/"]),

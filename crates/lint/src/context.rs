@@ -4,7 +4,7 @@
 //! token ranges are `#[cfg(test)]`/`#[test]` code, where function bodies
 //! begin and end, and which lines carry suppression directives.
 
-use crate::config::FileRole;
+use crate::config::{FileRole, RULES};
 use crate::lexer::{lex, Comment, Lexed, Token};
 
 /// A finding one rule produced on one line.
@@ -63,7 +63,7 @@ pub struct FileCtx<'a> {
     pub fns: Vec<FnSpan>,
     /// Parsed suppression directives.
     pub suppressions: Vec<Suppression>,
-    /// Malformed directives (missing reason / unknown shape).
+    /// Malformed directives (missing reason, unknown rule or shape).
     pub bad_directives: Vec<(u32, String)>,
 }
 
@@ -319,6 +319,13 @@ fn parse_suppressions(
             bad.push((c.line, "directive names no rules".to_string()));
             continue;
         }
+        if let Some(unknown) = rules.iter().find(|r| !RULES.contains(&r.as_str())) {
+            bad.push((
+                c.line,
+                format!("allow({}) names unknown rule `{unknown}`", rules.join(", ")),
+            ));
+            continue;
+        }
         if reason.is_empty() {
             bad.push((
                 c.line,
@@ -398,12 +405,27 @@ mod tests {
 
     #[test]
     fn suppressions_trailing_and_leading() {
-        let src = "a.unwrap(); // ma-lint: allow(panic-safety) reason=\"checked above\"\n// ma-lint: allow(wall-clock) reason=\"bench only\"\nInstant::now();\n";
+        let src = "a.unwrap(); // ma-lint: allow(panic-safety) reason=\"checked above\"\n// ma-lint: allow(determinism) reason=\"order never feeds arithmetic\"\nfor k in map.keys() {}\n";
         let ctx = FileCtx::new("crates/x/src/a.rs", src);
         assert_eq!(ctx.suppressions.len(), 2);
         assert!(ctx.suppressed("panic-safety", 1));
-        assert!(ctx.suppressed("wall-clock", 3));
-        assert!(!ctx.suppressed("wall-clock", 1));
+        assert!(ctx.suppressed("determinism", 3));
+        assert!(!ctx.suppressed("determinism", 1));
+    }
+
+    #[test]
+    fn directive_naming_an_unknown_rule_is_bad() {
+        let src = "// ma-lint: allow(panic-safty) reason=\"typo\"\nx.unwrap();\n// ma-lint: allow(panic-safety, wall-clock) reason=\"stale\"\ny.unwrap();\n";
+        let ctx = FileCtx::new("crates/x/src/a.rs", src);
+        assert!(ctx.suppressions.is_empty());
+        assert_eq!(ctx.bad_directives.len(), 2);
+        assert!(ctx.bad_directives[0]
+            .1
+            .contains("unknown rule `panic-safty`"));
+        assert!(ctx.bad_directives[1]
+            .1
+            .contains("unknown rule `wall-clock`"));
+        assert!(!ctx.suppressed("panic-safety", 2));
     }
 
     #[test]

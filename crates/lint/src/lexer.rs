@@ -38,11 +38,6 @@ pub enum TokenKind {
 pub struct Token {
     /// The token itself.
     pub kind: TokenKind,
-    /// Raw source text of string/char literals (quotes included), kept
-    /// so vocabulary rules can read event-name literals. `None` for
-    /// every other token kind — literal *contents* stay opaque to the
-    /// pattern-matching rules, which compare `kind` only.
-    pub text: Option<String>,
     /// 1-based source line.
     pub line: u32,
 }
@@ -54,20 +49,6 @@ impl Token {
             TokenKind::Ident(s) => Some(s),
             _ => None,
         }
-    }
-
-    /// The contents of a plain `"…"` string literal, when this token is
-    /// one. Raw/byte/char literals and strings carrying escapes return
-    /// `None` — no closed-vocabulary name needs either.
-    pub fn literal_str(&self) -> Option<&str> {
-        if self.kind != TokenKind::Literal {
-            return None;
-        }
-        let inner = self.text.as_deref()?.strip_prefix('"')?.strip_suffix('"')?;
-        if inner.contains('\\') || inner.contains('"') {
-            return None;
-        }
-        Some(inner)
     }
 
     /// Whether this token is the punctuation character `c`.
@@ -173,7 +154,6 @@ pub fn lex(source: &str) -> Lexed {
                 let end = skip_string(bytes, i, &mut line);
                 tokens.push(Token {
                     kind: TokenKind::Literal,
-                    text: source.get(i..end).map(str::to_string),
                     line: start_line,
                 });
                 i = end;
@@ -184,7 +164,6 @@ pub fn lex(source: &str) -> Lexed {
                 let end = skip_raw_or_byte_string(bytes, i, &mut line);
                 tokens.push(Token {
                     kind: TokenKind::Literal,
-                    text: source.get(i..end).map(str::to_string),
                     line: start_line,
                 });
                 i = end;
@@ -195,7 +174,6 @@ pub fn lex(source: &str) -> Lexed {
                 line_has_code = true;
                 tokens.push(Token {
                     kind: TokenKind::Literal,
-                    text: None,
                     line,
                 });
                 i = skip_char_literal(bytes, i + 1, &mut line);
@@ -211,14 +189,12 @@ pub fn lex(source: &str) -> Lexed {
                 if j > i + 1 && bytes.get(j) != Some(&b'\'') {
                     tokens.push(Token {
                         kind: TokenKind::Lifetime,
-                        text: None,
                         line,
                     });
                     i = j;
                 } else {
                     tokens.push(Token {
                         kind: TokenKind::Literal,
-                        text: None,
                         line,
                     });
                     i = skip_char_literal(bytes, i, &mut line);
@@ -228,7 +204,6 @@ pub fn lex(source: &str) -> Lexed {
                 line_has_code = true;
                 tokens.push(Token {
                     kind: TokenKind::Number,
-                    text: None,
                     line,
                 });
                 i += 1;
@@ -261,7 +236,6 @@ pub fn lex(source: &str) -> Lexed {
                 }
                 tokens.push(Token {
                     kind: TokenKind::Ident(text.to_string()),
-                    text: None,
                     line,
                 });
             }
@@ -269,7 +243,6 @@ pub fn lex(source: &str) -> Lexed {
                 line_has_code = true;
                 tokens.push(Token {
                     kind: TokenKind::Punct(c),
-                    text: None,
                     line,
                 });
                 i += 1;
@@ -438,16 +411,6 @@ mod tests {
             idents(r#"let b = b"bytes.unwrap()"; end"#),
             vec!["let", "b", "end"]
         );
-    }
-
-    #[test]
-    fn literal_str_reads_plain_strings_only() {
-        let lx = lex(r#"emit(Category::Walk, "step", &[]); let c = 'x'; let e = "a\"b";"#);
-        let strs: Vec<&str> = lx.tokens.iter().filter_map(|t| t.literal_str()).collect();
-        // The escaped string and the char literal stay opaque.
-        assert_eq!(strs, vec!["step"]);
-        let raw = lex(r##"let s = r#"raw"#;"##);
-        assert!(raw.tokens.iter().all(|t| t.literal_str().is_none()));
     }
 
     #[test]

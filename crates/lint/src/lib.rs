@@ -3,11 +3,14 @@
 //!
 //! The repo's core guarantee is that estimates are bit-identical whether
 //! runs are isolated, cached or fault-injected. That guarantee rests on
-//! conventions — all time through the simulated clock, all API traffic
-//! through the metered client stack, no hash-order arithmetic in
-//! estimator paths — that the compiler cannot enforce. This crate turns
-//! them into CI-gated invariants with a self-contained token-level
-//! analyzer (no external dependencies; the workspace is offline).
+//! conventions — all API traffic through the metered client stack, no
+//! hash-order arithmetic in estimator paths, no lock held across a
+//! fetch — that the compiler cannot enforce. This crate turns them into
+//! CI-gated invariants with a self-contained token-level analyzer (no
+//! external dependencies; the workspace is offline). The conventions
+//! the compiler can own live in types instead: the trace vocabulary is
+//! `microblog_obs::EventName` / `SpanName`, and the wall-clock ban is
+//! clippy's `disallowed-methods` (`crates/clippy.toml`).
 //!
 //! Since v2 the analyzer is two-phase. Phase 1 runs per file (in
 //! parallel across a worker pool): token-level rules, lock-edge
@@ -17,15 +20,14 @@
 //! charging/lock/fs rules ([`rules::interproc`]), checkpoint-coverage
 //! checking, and lock-order cycle detection.
 //!
-//! See DESIGN.md §9 and §13 for the rule catalog and the
-//! suppression/baseline workflow. The entry points are
+//! See DESIGN.md §9 and §13 for the rule catalog and the suppression
+//! workflow. The entry points are
 //! [`analyze_source`] (one in-memory file, used by the fixture
 //! self-tests), [`analyze_sources`] (a set of in-memory files analyzed
 //! as one workspace — fixture tests for interprocedural rules) and
 //! [`analyze_workspace`] (walks `crates/*/src`, `crates/*/tests`,
 //! `examples/` and `tests/`).
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod context;
@@ -34,7 +36,6 @@ pub mod report;
 pub mod rules;
 pub mod symbols;
 
-use baseline::{gate, Baseline};
 use callgraph::CallGraph;
 use config::Config;
 use context::{FileCtx, Finding};
@@ -76,7 +77,6 @@ pub struct WorkspaceAnalysis {
 fn analyze_file(path: &str, source: &str, cfg: &Config) -> PerFile {
     let ctx = FileCtx::new(path, source);
     let mut findings = Vec::new();
-    rules::wall_clock::check(&ctx, cfg, &mut findings);
     rules::panic_safety::check(&ctx, cfg, &mut findings);
     rules::determinism::check(&ctx, cfg, &mut findings);
     rules::charging::check(&ctx, cfg, &mut findings);
@@ -118,7 +118,6 @@ fn assemble(per: Vec<PerFile>, cfg: &Config) -> WorkspaceAnalysis {
     let graph = CallGraph::build(&files);
     rules::interproc::check(&files, &graph, cfg, &mut findings);
     rules::checkpoint_coverage::check(&files, cfg, &mut findings);
-    rules::schema_closed::check(&files, cfg, &mut findings);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     WorkspaceAnalysis {
@@ -151,14 +150,12 @@ pub fn analyze_source(path: &str, source: &str, cfg: &Config) -> FileAnalysis {
     }
 }
 
-/// Walks the workspace at `root`, analyzes every eligible `.rs` file
-/// (phase 1 parallelized across a small worker pool) and gates the
-/// result against `baseline`.
-pub fn analyze_workspace(
-    root: &Path,
-    cfg: &Config,
-    baseline: &Baseline,
-) -> std::io::Result<Report> {
+/// Walks the workspace at `root` and analyzes every eligible `.rs` file
+/// (phase 1 parallelized across a small worker pool).
+pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
+    // The report's `wall_ms` times the scan itself; nothing
+    // estimate-bearing runs here.
+    #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
     let files = collect_files(root, cfg)?;
     let files_scanned = files.len();
@@ -179,13 +176,11 @@ pub fn analyze_workspace(
     rules::lock_order::check_cycles(&ws.lock_edges, &mut ws.findings);
     ws.findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    let findings = ws.findings;
     Ok(Report {
         files_scanned,
         workers,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        gate: gate(&findings, baseline),
-        findings,
+        findings: ws.findings,
     })
 }
 
@@ -303,7 +298,7 @@ mod tests {
             .map(|i| {
                 (
                     format!("crates/core/src/f{i}.rs"),
-                    format!("fn f{i}() {{ let _ = std::time::Instant::now(); }}\n"),
+                    format!("fn f{i}(x: Option<u32>) -> u32 {{ x.unwrap() }}\n"),
                 )
             })
             .collect();
@@ -315,6 +310,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(flat(&seq), flat(&par));
+        assert_eq!(flat(&seq).len(), 12);
         assert_eq!(seq.len(), par.len());
     }
 }

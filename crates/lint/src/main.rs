@@ -4,25 +4,18 @@
 //! cargo run -p ma-lint [--release] -- [OPTIONS]
 //!
 //!   --root <dir>        workspace root (default: .)
-//!   --baseline <path>   baseline file (default: <root>/lint-baseline.toml;
-//!                       a missing file means an empty baseline)
-//!   --write-baseline    rewrite the baseline to absorb all current findings
 //!   --json              print the JSON report to stdout instead of text
 //!   --json-out <path>   additionally write the JSON report to a file (CI artifact)
 //! ```
 //!
-//! Exit codes: 0 = gate passes, 1 = new (unbaselined) findings,
-//! 2 = usage or I/O error.
+//! Exit codes: 0 = no findings, 1 = findings, 2 = usage or I/O error.
 
-use ma_lint::baseline::Baseline;
 use ma_lint::config::Config;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
     json: bool,
     json_out: Option<PathBuf>,
 }
@@ -30,8 +23,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
-        write_baseline: false,
         json: false,
         json_out: None,
     };
@@ -39,18 +30,12 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--write-baseline" => args.write_baseline = true,
             "--json" => args.json = true,
             "--json-out" => {
                 args.json_out = Some(PathBuf::from(it.next().ok_or("--json-out needs a value")?))
             }
             "--help" | "-h" => {
-                return Err("usage: ma-lint [--root <dir>] [--baseline <path>] \
-                            [--write-baseline] [--json] [--json-out <path>]"
-                    .to_string())
+                return Err("usage: ma-lint [--root <dir>] [--json] [--json-out <path>]".to_string())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -66,42 +51,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint-baseline.toml"));
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(msg) => {
-                eprintln!("ma-lint: {}: {msg}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(),
-    };
     let cfg = Config::default();
-    let report = match ma_lint::analyze_workspace(&args.root, &cfg, &baseline) {
+    let report = match ma_lint::analyze_workspace(&args.root, &cfg) {
         Ok(r) => r,
         Err(err) => {
             eprintln!("ma-lint: failed to scan {}: {err}", args.root.display());
             return ExitCode::from(2);
         }
     };
-    if args.write_baseline {
-        let fresh = Baseline::from_findings(&report.findings);
-        if let Err(err) = std::fs::write(&baseline_path, fresh.to_toml()) {
-            eprintln!("ma-lint: cannot write {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ma-lint: wrote {} entr{} to {}",
-            fresh.counts.len(),
-            if fresh.counts.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
     if let Some(path) = &args.json_out {
         if let Err(err) = std::fs::write(path, report.render_json()) {
             eprintln!("ma-lint: cannot write {}: {err}", path.display());

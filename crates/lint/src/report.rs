@@ -8,15 +8,10 @@
 //!   "files_scanned": 63,
 //!   "workers": 4,
 //!   "wall_ms": 41.502,
-//!   "findings": [{"rule": "…", "file": "…", "line": 12, "message": "…", "baselined": false}],
-//!   "new_findings": 1,
-//!   "baselined_findings": 0,
-//!   "stale_baseline": ["rule:file (4 baselined, 2 live)"],
-//!   "rule_regressions": [{"rule": "…", "cap": 2, "live": 3}]
+//!   "findings": [{"rule": "…", "file": "…", "line": 12, "message": "…"}]
 //! }
 //! ```
 
-use crate::baseline::GateResult;
 use crate::context::Finding;
 
 /// Everything one run produced.
@@ -28,82 +23,41 @@ pub struct Report {
     pub workers: usize,
     /// End-to-end wall time of the run, in milliseconds.
     pub wall_ms: f64,
-    /// All findings after inline suppression, before the baseline gate.
+    /// All findings after inline suppression.
     pub findings: Vec<Finding>,
-    /// The baseline gate's verdict.
-    pub gate: GateResult,
 }
 
 impl Report {
-    /// Whether the gate passes (no unbaselined findings and no rule
-    /// over its per-rule ceiling).
+    /// Whether the run passes: no findings.
     pub fn ok(&self) -> bool {
-        self.gate.new.is_empty() && self.gate.rule_regressions.is_empty()
+        self.findings.is_empty()
     }
 
     /// Renders the human-readable report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let newset: std::collections::BTreeSet<(String, u32, &'static str)> = self
-            .gate
-            .new
-            .iter()
-            .map(|f| (f.file.clone(), f.line, f.rule))
-            .collect();
         for f in &self.findings {
-            let status = if newset.contains(&(f.file.clone(), f.line, f.rule)) {
-                "error"
-            } else {
-                "baselined"
-            };
             out.push_str(&format!(
-                "{status}[{rule}] {file}:{line}: {msg}\n",
+                "error[{rule}] {file}:{line}: {msg}\n",
                 rule = f.rule,
                 file = f.file,
                 line = f.line,
                 msg = f.message
             ));
         }
-        for (key, baselined, live) in &self.gate.stale {
-            out.push_str(&format!(
-                "stale-baseline: {key} records {baselined} finding(s) but only {live} remain — \
-                 ratchet the baseline down\n"
-            ));
-        }
-        for (rule, cap, live) in &self.gate.rule_regressions {
-            out.push_str(&format!(
-                "rule-regression: `{rule}` has {live} live finding(s) but its ceiling is \
-                 {cap} — the workspace total for this rule may not grow\n"
-            ));
-        }
         out.push_str(&format!(
             "ma-lint: {files} file(s) scanned in {ms:.1} ms ({workers} worker(s)), \
-             {new} new finding(s), {base} baselined, {stale} stale baseline entr{ies}, \
-             {regress} rule regression(s)\n",
+             {n} finding(s)\n",
             files = self.files_scanned,
             ms = self.wall_ms,
             workers = self.workers,
-            new = self.gate.new.len(),
-            base = self.gate.baselined,
-            stale = self.gate.stale.len(),
-            ies = if self.gate.stale.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            regress = self.gate.rule_regressions.len(),
+            n = self.findings.len(),
         ));
         out
     }
 
     /// Renders the JSON report.
     pub fn render_json(&self) -> String {
-        let newset: std::collections::BTreeSet<(String, u32, &'static str)> = self
-            .gate
-            .new
-            .iter()
-            .map(|f| (f.file.clone(), f.line, f.rule))
-            .collect();
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!("  \"workers\": {},\n", self.workers));
@@ -113,44 +67,16 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            let baselined = !newset.contains(&(f.file.clone(), f.line, f.rule));
             out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"baselined\": {}}}",
+                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
                 json_str(f.rule),
                 json_str(&f.file),
                 f.line,
                 json_str(&f.message),
-                baselined
             ));
         }
         if !self.findings.is_empty() {
             out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        out.push_str(&format!("  \"new_findings\": {},\n", self.gate.new.len()));
-        out.push_str(&format!(
-            "  \"baselined_findings\": {},\n",
-            self.gate.baselined
-        ));
-        out.push_str("  \"stale_baseline\": [");
-        for (i, (key, baselined, live)) in self.gate.stale.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(&format!(
-                "{key} ({baselined} baselined, {live} live)"
-            )));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"rule_regressions\": [");
-        for (i, (rule, cap, live)) in self.gate.rule_regressions.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"rule\": {}, \"cap\": {cap}, \"live\": {live}}}",
-                json_str(rule)
-            ));
         }
         out.push_str("]\n}\n");
         out
@@ -179,62 +105,48 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{gate, Baseline};
 
     #[test]
     fn json_is_well_formed_and_escaped() {
-        let findings = vec![Finding {
-            rule: "panic-safety",
-            file: "a \"b\".rs".to_string(),
-            line: 3,
-            message: "needs\nescaping\\here".to_string(),
-        }];
         let report = Report {
             files_scanned: 1,
             workers: 2,
             wall_ms: 1.25,
-            gate: gate(&findings, &Baseline::default()),
-            findings,
+            findings: vec![Finding {
+                rule: "panic-safety",
+                file: "a \"b\".rs".to_string(),
+                line: 3,
+                message: "needs\nescaping\\here".to_string(),
+            }],
         };
         let json = report.render_json();
         assert!(json.contains("\\\"b\\\""));
         assert!(json.contains("needs\\nescaping\\\\here"));
-        assert!(json.contains("\"new_findings\": 1"));
         assert!(json.contains("\"workers\": 2"));
         assert!(json.contains("\"wall_ms\": 1.250"));
-        assert!(json.contains("{\"rule\": \"panic-safety\", \"cap\": 0, \"live\": 1}"));
+        assert!(json.contains("\"line\": 3, \"message\""));
         assert!(!report.ok());
     }
 
     #[test]
-    fn text_marks_baselined_vs_error() {
-        let findings = vec![
-            Finding {
-                rule: "charging",
-                file: "x.rs".to_string(),
-                line: 1,
-                message: "m".to_string(),
-            },
-            Finding {
-                rule: "charging",
-                file: "x.rs".to_string(),
-                line: 2,
-                message: "m".to_string(),
-            },
-        ];
-        let baseline = Baseline::parse("\"charging:x.rs\" = 1\n").unwrap();
+    fn text_lists_every_finding_as_an_error() {
+        let finding = |line| Finding {
+            rule: "charging",
+            file: "x.rs".to_string(),
+            line,
+            message: "m".to_string(),
+        };
         let report = Report {
             files_scanned: 1,
             workers: 1,
             wall_ms: 0.5,
-            gate: gate(&findings, &baseline),
-            findings,
+            findings: vec![finding(1), finding(2)],
         };
         let text = report.render_text();
-        assert!(text.contains("baselined[charging] x.rs:1"));
-        assert!(text.contains("error[charging] x.rs:2"));
-        assert!(text.contains("1 new finding(s), 1 baselined"));
-        assert!(text.contains("rule-regression: `charging` has 2 live finding(s)"));
+        assert!(text.contains("error[charging] x.rs:1: m"));
+        assert!(text.contains("error[charging] x.rs:2: m"));
+        assert!(text.contains("2 finding(s)"));
         assert!(!report.ok());
+        assert!(Report::default().ok());
     }
 }

@@ -16,5 +16,3 @@ pub mod lock_across_call;
 pub mod lock_order;
 pub mod panic_safety;
 pub mod rng_confinement;
-pub mod schema_closed;
-pub mod wall_clock;

@@ -211,8 +211,6 @@ pub struct FileSymbols {
     /// Inline suppressions, copied so workspace-phase findings honor
     /// `ma-lint: allow(...)` the same way per-file rules do.
     pub suppressions: Vec<Suppression>,
-    /// Trace-vocabulary facts for the `schema-closed` rule.
-    pub schema: crate::rules::schema_closed::SchemaFacts,
 }
 
 impl FileSymbols {
@@ -281,7 +279,6 @@ pub fn extract(ctx: &FileCtx) -> FileSymbols {
         structs,
         struct_uses,
         suppressions: ctx.suppressions.clone(),
-        schema: crate::rules::schema_closed::harvest(ctx),
     }
 }
 

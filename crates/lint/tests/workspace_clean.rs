@@ -1,26 +1,15 @@
 //! The workspace itself must pass its own linter: every invariant the
-//! rules encode holds on the code as committed, with the checked-in
-//! baseline (kept empty — violations are fixed or annotated, not
-//! grandfathered).
+//! rules encode holds on the code as committed, with no findings —
+//! violations are fixed or annotated at the site, never grandfathered.
 
-use ma_lint::baseline::Baseline;
 use ma_lint::config::Config;
 use std::path::Path;
 
 #[test]
-fn workspace_passes_ma_lint_with_checked_in_baseline() {
+fn workspace_passes_ma_lint() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline_path = root.join("lint-baseline.toml");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text).expect("lint-baseline.toml parses"),
-        Err(_) => Baseline::default(),
-    };
-    let report = ma_lint::analyze_workspace(&root, &Config::default(), &baseline)
-        .expect("workspace scan succeeds");
+    let report =
+        ma_lint::analyze_workspace(&root, &Config::default()).expect("workspace scan succeeds");
     assert!(report.files_scanned > 50, "scan looks truncated");
-    assert!(
-        report.ok(),
-        "unbaselined findings:\n{}",
-        report.render_text()
-    );
+    assert!(report.ok(), "findings:\n{}", report.render_text());
 }

@@ -49,8 +49,10 @@ impl TelemetryClock {
             TelemetryMode::Logical => TelemetryClock {
                 inner: Inner::Logical(AtomicU64::new(0)),
             },
+            // Operator-facing latency telemetry behind TelemetryMode::Wall;
+            // never feeds estimates.
+            #[allow(clippy::disallowed_methods)]
             TelemetryMode::Wall => TelemetryClock {
-                // ma-lint: allow(wall-clock) reason="operator-facing latency telemetry behind TelemetryMode::Wall; never feeds estimates"
                 inner: Inner::Wall(Instant::now()),
             },
         }

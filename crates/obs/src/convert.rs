@@ -8,7 +8,7 @@
 
 use microblog_graph::{Visit, WalkTrace};
 
-use crate::event::{Category, FieldValue};
+use crate::event::{EventName, FieldValue};
 use crate::tracer::Tracer;
 
 /// Emits one `visit` event per trace entry, in step order, under the
@@ -26,8 +26,7 @@ pub fn emit_walk_trace(tracer: &Tracer, trace: &WalkTrace) {
 /// Emits a single `visit` event.
 pub fn emit_visit(tracer: &Tracer, step: usize, visit: &Visit) {
     tracer.emit(
-        Category::Walk,
-        "visit",
+        EventName::VISIT,
         &[
             ("step", FieldValue::U64(step as u64)),
             ("node", FieldValue::U64(u64::from(visit.node))),

@@ -1,10 +1,11 @@
 //! The trace record: categories, kinds, walk phases and typed fields.
 //!
 //! A [`TraceEvent`] is deliberately flat — a timestamp, a global sequence
-//! number, a small closed set of categories, a `&'static str` name and a
-//! short list of typed fields — so that serialization is a fixed-order
-//! byte-for-byte deterministic rendering (see [`crate::export`]) and the
-//! hot-path cost of recording one is a handful of copies.
+//! number, a small closed set of categories, a registered name
+//! ([`EventName`] / [`SpanName`]) and a short list of typed fields — so
+//! that serialization is a fixed-order byte-for-byte deterministic
+//! rendering (see [`crate::export`]) and the hot-path cost of recording
+//! one is a handful of copies.
 
 /// What part of the stack an event describes. Categories shard the
 /// recorder and carry independent sampling rates: walk steps are
@@ -97,6 +98,132 @@ impl Category {
         }
     }
 }
+
+/// A registered point-event name: the [`Category`] it is recorded under
+/// and its name in a [`TraceEvent`] and in JSON. Only this crate
+/// constructs one, so [`crate::Tracer::emit`] cannot record an
+/// unregistered or misspelled event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventName {
+    pub(crate) category: Category,
+    pub(crate) name: &'static str,
+}
+
+/// A registered span name, recorded by [`crate::Tracer::span_start`] and
+/// [`crate::Tracer::span_end`]. A name may be both a span and a point
+/// event: the `pilot` span brackets MA-TARW's pilot phase, and each
+/// `pilot` event reports one pilot measurement inside it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanName {
+    pub(crate) category: Category,
+    pub(crate) name: &'static str,
+}
+
+/// Writes each registered (category, name) pair once, as a constant of
+/// `$ty`, and lists every constant in `$ty::ALL`.
+macro_rules! vocabulary {
+    ($ty:ident { $($(#[$doc:meta])* $konst:ident: $cat:ident $name:literal,)* }) => {
+        impl $ty {
+            $(
+                $(#[$doc])*
+                pub const $konst: $ty = $ty { category: Category::$cat, name: $name };
+            )*
+
+            /// Every registered name, in table order.
+            pub const ALL: &'static [$ty] = &[$($ty::$konst),*];
+        }
+    };
+}
+
+vocabulary!(EventName {
+    /// An SRW-family walker transition.
+    STEP: Walk "step",
+    /// An accepted Metropolis–Hastings proposal.
+    MH_ACCEPT: Walk "mh_accept",
+    /// A rejected Metropolis–Hastings proposal.
+    MH_REJECT: Walk "mh_reject",
+    /// A sample the walker kept.
+    SAMPLE: Walk "sample",
+    /// A walk restarted from a seed at a dead end.
+    RESTART: Walk "restart",
+    /// The end of a chain's burn-in.
+    BURNIN_END: Walk "burnin_end",
+    /// One pilot-walk measurement during interval selection.
+    PILOT: Walk "pilot",
+    /// The level interval pilot selection chose.
+    INTERVAL_SELECTED: Walk "interval_selected",
+    /// The seed users a SEARCH returned.
+    SEEDS: Walk "seeds",
+    /// One node of a replayed offline walk trace.
+    VISIT: Walk "visit",
+    /// An MA-TARW move to a higher level.
+    LEVEL_UP: Walk "level_up",
+    /// An MA-TARW move to a lower level.
+    LEVEL_DOWN: Walk "level_down",
+    /// A budget debit in the metered client stack.
+    CHARGE: Charge "charge",
+    /// A fetch served from the client's own memo.
+    LOCAL_HIT: Cache "local_hit",
+    /// A fetch neither cache could serve.
+    MISS: Cache "miss",
+    /// A fetch served, and logically charged, from the shared cache.
+    SHARED_HIT: Cache "shared_hit",
+    /// An entry evicted from the shared cache.
+    SHARED_EVICT: Cache "shared_evict",
+    /// An attempt retried after a retryable fault.
+    RETRY: Resilience "retry",
+    /// A rate-limit response and the wait it imposed.
+    RATE_LIMITED: Resilience "rate_limited",
+    /// Calls a failed attempt charged to the waste meter.
+    WASTE: Resilience "waste",
+    /// A fatal error the resilient client returned.
+    GIVE_UP: Resilience "give_up",
+    /// A circuit breaker opened.
+    BREAKER_OPEN: Resilience "breaker_open",
+    /// A half-open breaker let one probe through.
+    BREAKER_PROBE: Resilience "breaker_probe",
+    /// A breaker closed again.
+    BREAKER_CLOSE: Resilience "breaker_close",
+    /// A call refused by an open breaker.
+    BREAKER_FAST_FAIL: Resilience "breaker_fast_fail",
+    /// A job's quota reservation settled.
+    SETTLE: Job "settle",
+    /// A running Geweke z-score.
+    GEWEKE: Diag "geweke",
+    /// A miss that became the in-flight leader for its key.
+    LEAD: Coalesce "lead",
+    /// A miss that waited on another job's in-flight fetch.
+    JOIN: Coalesce "join",
+    /// A failed flight handed back for re-election.
+    ABORT: Coalesce "abort",
+    /// A walker checkpoint captured.
+    CHECKPOINT: Checkpoint "checkpoint",
+    /// The journal replayed at startup.
+    REPLAY: Recovery "replay",
+    /// A crashed worker respawned.
+    RESPAWN: Recovery "respawn",
+    /// A live-stats window: counter deltas and totals.
+    WINDOW: Stats "window",
+    /// A live-stats gauge reading.
+    GAUGES: Stats "gauges",
+    /// A live-stats convergence reading for one query.
+    QUERY: Stats "query",
+    /// Fetches announced to the pipeline.
+    ANNOUNCE: Sched "announce",
+    /// A checkpoint-drain barrier in the pipeline.
+    DRAIN: Sched "drain",
+});
+
+vocabulary!(SpanName {
+    /// MA-TARW's pilot interval-selection phase.
+    PILOT: Walk "pilot",
+    /// One job, from dequeue to settlement.
+    JOB: Job "job",
+    /// One estimator run inside a job.
+    ESTIMATE: Job "estimate",
+    /// The sampler driver's walk.
+    WALK: Job "walk",
+});
 
 /// Whether a record is a point event or one end of a span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,8 +384,8 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Which part of the stack emitted it.
     pub category: Category,
-    /// Event name, from a closed per-category vocabulary (see
-    /// DESIGN.md §10).
+    /// Event name, from the registered vocabulary ([`EventName`] /
+    /// [`SpanName`]; see DESIGN.md §10).
     pub name: &'static str,
     /// Span id for span edges; `None` for point events outside a span.
     pub span: Option<u64>,

@@ -9,7 +9,8 @@
 //!
 //! * [`event`] — the [`TraceEvent`] record: a span or point event with a
 //!   category, a name, a walk [`WalkPhase`] / level attribution, and typed
-//!   key-value fields.
+//!   key-value fields; and the registered names ([`EventName`],
+//!   [`SpanName`]) that are the only names a [`Tracer`] records.
 //! * [`clock`] — the [`TelemetryClock`] that timestamps every record.
 //!   The default [`TelemetryMode::Logical`] is a monotone atomic counter,
 //!   so two runs with the same seed produce **bit-identical** traces —
@@ -54,7 +55,7 @@ pub mod tracer;
 pub mod window;
 
 pub use clock::{TelemetryClock, TelemetryMode};
-pub use event::{Category, EventKind, FieldValue, TraceEvent, WalkPhase};
+pub use event::{Category, EventKind, EventName, FieldValue, SpanName, TraceEvent, WalkPhase};
 pub use export::{render_jsonl, to_json_line};
 pub use histogram::render_buckets;
 pub use recorder::{RecorderConfig, RecorderStats, RingRecorder};

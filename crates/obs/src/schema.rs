@@ -1,66 +1,12 @@
 //! The closed trace vocabulary, as data.
 //!
 //! `ma-verify` replays `.jsonl` traces and must reject events the
-//! runtime never emits — but hard-coding the vocabulary in the auditor
-//! would let the two drift apart silently. This module is the single
-//! source of truth: the emitting code uses [`Category`] / [`WalkPhase`]
-//! enums directly, and the auditor validates decoded frames against the
-//! tables here. Adding an event name without registering it is caught by
-//! the CI replay step the moment the new event appears in a trace.
+//! runtime never emits. The vocabulary is the set of registered
+//! [`EventName`] and [`SpanName`] constants: emitting code can only name
+//! those, so an unregistered or misspelled event does not compile, and
+//! this module is the auditor's view of the same constants.
 
-use crate::event::{Category, EventKind, WalkPhase};
-
-/// Point-event names the runtime emits, per category.
-///
-/// Span names live in [`span_names`]; a name may legally appear in both
-/// (`pilot` does: the Walk point event reports a pilot measurement, the
-/// Walk span brackets the whole pilot phase).
-pub fn event_names(category: Category) -> &'static [&'static str] {
-    match category {
-        Category::Walk => &[
-            "step",
-            "mh_accept",
-            "mh_reject",
-            "sample",
-            "restart",
-            "burnin_end",
-            "pilot",
-            "interval_selected",
-            "seeds",
-            "visit",
-            "level_up",
-            "level_down",
-        ],
-        Category::Charge => &["charge"],
-        Category::Cache => &["local_hit", "miss", "shared_hit", "shared_evict"],
-        Category::Resilience => &[
-            "retry",
-            "rate_limited",
-            "waste",
-            "give_up",
-            "breaker_open",
-            "breaker_probe",
-            "breaker_close",
-            "breaker_fast_fail",
-        ],
-        Category::Job => &["settle"],
-        Category::Diag => &["geweke"],
-        Category::Coalesce => &["lead", "join", "abort"],
-        Category::Checkpoint => &["checkpoint"],
-        Category::Recovery => &["replay", "respawn"],
-        Category::Stats => &["window", "gauges", "query"],
-        Category::Sched => &["announce", "drain"],
-    }
-}
-
-/// Span names (emitted as `span_start` / `span_end` pairs), per category.
-pub fn span_names(category: Category) -> &'static [&'static str] {
-    match category {
-        Category::Walk => &["pilot"],
-        Category::Job => &["job", "estimate", "walk"],
-        _ => &[],
-    }
-}
+use crate::event::{Category, EventKind, EventName, SpanName, WalkPhase};
 
 /// Conserved counter names carried by every `stats`/`window` event.
 ///
@@ -85,12 +31,16 @@ pub const STATS_CONSERVED_KEYS: [&str; 11] = [
 
 /// Whether `name` is a legal point-event name for `category`.
 pub fn is_event(category: Category, name: &str) -> bool {
-    event_names(category).contains(&name)
+    EventName::ALL
+        .iter()
+        .any(|e| e.category == category && e.name == name)
 }
 
 /// Whether `name` is a legal span name for `category`.
 pub fn is_span(category: Category, name: &str) -> bool {
-    span_names(category).contains(&name)
+    SpanName::ALL
+        .iter()
+        .any(|s| s.category == category && s.name == name)
 }
 
 /// Parses the `cat` field of a serialized frame.

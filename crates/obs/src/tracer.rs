@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::clock::TelemetryClock;
-use crate::event::{Category, EventKind, FieldValue, TraceEvent, WalkPhase};
+use crate::event::{Category, EventKind, EventName, FieldValue, SpanName, TraceEvent, WalkPhase};
 use crate::sink::TraceSink;
 
 /// Sentinel for "no level published" in the ambient level cell. Real
@@ -103,40 +103,39 @@ impl Tracer {
     }
 
     /// Records a point event in the current phase/level context.
-    pub fn emit(
-        &self,
-        category: Category,
-        name: &'static str,
-        fields: &[(&'static str, FieldValue)],
-    ) {
-        self.push(EventKind::Event, category, name, None, fields);
+    pub fn emit(&self, name: EventName, fields: &[(&'static str, FieldValue)]) {
+        self.push(EventKind::Event, name.category, name.name, None, fields);
     }
 
     /// Opens a span and returns its id (0 when disabled; passing 0 back
     /// to [`Tracer::span_end`] is a harmless no-op-tagged edge).
-    pub fn span_start(
-        &self,
-        category: Category,
-        name: &'static str,
-        fields: &[(&'static str, FieldValue)],
-    ) -> u64 {
+    pub fn span_start(&self, name: SpanName, fields: &[(&'static str, FieldValue)]) -> u64 {
         let Some(core) = &self.core else { return 0 };
         let id = core.next_span.fetch_add(1, Ordering::Relaxed);
-        self.push(EventKind::SpanStart, category, name, Some(id), fields);
+        self.push(
+            EventKind::SpanStart,
+            name.category,
+            name.name,
+            Some(id),
+            fields,
+        );
         id
     }
 
     /// Closes the span opened under `id`.
-    pub fn span_end(
-        &self,
-        category: Category,
-        name: &'static str,
-        id: u64,
-        fields: &[(&'static str, FieldValue)],
-    ) {
-        self.push(EventKind::SpanEnd, category, name, Some(id), fields);
+    pub fn span_end(&self, name: SpanName, id: u64, fields: &[(&'static str, FieldValue)]) {
+        self.push(
+            EventKind::SpanEnd,
+            name.category,
+            name.name,
+            Some(id),
+            fields,
+        );
     }
 
+    /// Records one edge; `category` and `name` come from a registered
+    /// [`EventName`] or [`SpanName`]. A disabled tracer returns at the
+    /// first branch.
     fn push(
         &self,
         kind: EventKind,
@@ -189,19 +188,19 @@ mod tests {
         assert!(!tracer.is_enabled());
         tracer.set_phase(WalkPhase::Walk);
         assert_eq!(tracer.phase(), WalkPhase::Idle);
-        tracer.emit(Category::Walk, "step", &[]);
-        assert_eq!(tracer.span_start(Category::Job, "job", &[]), 0);
+        tracer.emit(EventName::STEP, &[]);
+        assert_eq!(tracer.span_start(SpanName::JOB, &[]), 0);
     }
 
     #[test]
     fn events_carry_ambient_phase_and_level() {
         let (tracer, recorder) = traced();
-        tracer.emit(Category::Charge, "charge", &[("calls", FieldValue::U64(1))]);
+        tracer.emit(EventName::CHARGE, &[("calls", FieldValue::U64(1))]);
         tracer.set_phase(WalkPhase::Up);
         tracer.set_level(Some(3));
-        tracer.emit(Category::Charge, "charge", &[("calls", FieldValue::U64(2))]);
+        tracer.emit(EventName::CHARGE, &[("calls", FieldValue::U64(2))]);
         tracer.set_level(None);
-        tracer.emit(Category::Charge, "charge", &[("calls", FieldValue::U64(3))]);
+        tracer.emit(EventName::CHARGE, &[("calls", FieldValue::U64(3))]);
 
         let events = recorder.drain();
         assert_eq!(events.len(), 3);
@@ -216,7 +215,7 @@ mod tests {
     fn ticks_and_seqs_strictly_increase() {
         let (tracer, recorder) = traced();
         for _ in 0..5 {
-            tracer.emit(Category::Walk, "step", &[]);
+            tracer.emit(EventName::STEP, &[]);
         }
         let events = recorder.drain();
         for pair in events.windows(2) {
@@ -228,9 +227,9 @@ mod tests {
     #[test]
     fn spans_pair_by_id() {
         let (tracer, recorder) = traced();
-        let id = tracer.span_start(Category::Job, "job", &[]);
-        tracer.emit(Category::Cache, "miss", &[]);
-        tracer.span_end(Category::Job, "job", id, &[]);
+        let id = tracer.span_start(SpanName::JOB, &[]);
+        tracer.emit(EventName::MISS, &[]);
+        tracer.span_end(SpanName::JOB, id, &[]);
         let events = recorder.drain();
         assert_eq!(events[0].kind, EventKind::SpanStart);
         assert_eq!(events[2].kind, EventKind::SpanEnd);
@@ -243,7 +242,7 @@ mod tests {
         let (tracer, recorder) = traced();
         let clone = tracer.clone();
         clone.set_phase(WalkPhase::BurnIn);
-        tracer.emit(Category::Walk, "step", &[]);
+        tracer.emit(EventName::STEP, &[]);
         assert_eq!(recorder.drain()[0].phase, WalkPhase::BurnIn);
     }
 }

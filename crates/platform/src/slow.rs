@@ -10,7 +10,8 @@
 //! [`SlowBackend::peak_inflight`] gauge records how deep the overlap ran.
 //!
 //! This is bench/test infrastructure: it burns real wall-clock time by
-//! design, which is why it carries explicit wall-clock lint allowances.
+//! design, which is why it carries an explicit allowance of clippy's
+//! wall-clock ban (`crates/clippy.toml`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,7 +67,9 @@ impl SlowBackend {
         self.calls.fetch_add(1, Ordering::Relaxed);
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_inflight.fetch_max(depth, Ordering::Relaxed);
-        std::thread::sleep(self.rtt); // ma-lint: allow(wall-clock) reason="RTT simulation is this type's purpose"
+        // RTT simulation is this type's purpose.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::sleep(self.rtt);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }

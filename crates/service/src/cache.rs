@@ -17,7 +17,7 @@ use crate::lru::LruCache;
 use microblog_api::cache::{
     CacheLayer, CachedConnections, CachedSearch, CachedTimeline, CoalescingLayer,
 };
-use microblog_obs::{Category, FieldValue, Tracer};
+use microblog_obs::{EventName, FieldValue, Tracer};
 use microblog_platform::{KeywordId, UserId};
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -177,8 +177,7 @@ impl SharedApiCache {
             return;
         }
         self.tracer.emit(
-            Category::Cache,
-            "shared_evict",
+            EventName::SHARED_EVICT,
             &[("endpoint", FieldValue::from(endpoint))],
         );
     }

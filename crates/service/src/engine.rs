@@ -50,7 +50,7 @@ use microblog_api::{
     ApiProfile, FetchScheduler, InflightPolicy, PrefetchSink, ResilienceStats, RetryPolicy,
     SchedCloseGuard, SchedCounters, SchedStats,
 };
-use microblog_obs::{Category, FieldValue, TelemetryClock, TelemetryMode, Tracer};
+use microblog_obs::{EventName, FieldValue, SpanName, TelemetryClock, TelemetryMode, Tracer};
 use microblog_platform::{
     crash_point, ApiBackend, CrashInjector, CrashMode, CrashPlan, FaultPlan, FaultyPlatform,
     Platform, CRASH_PANIC_PREFIX,
@@ -410,10 +410,12 @@ impl Outstanding {
                 true
             }
             Some(timeout) => {
-                // ma-lint: allow(wall-clock) reason="the drain deadline is an operator real-time bound; it never feeds estimates"
+                // The drain deadline is an operator real-time bound; it
+                // never feeds estimates.
+                #[allow(clippy::disallowed_methods)]
                 let deadline = std::time::Instant::now() + timeout;
                 while *count > 0 {
-                    // ma-lint: allow(wall-clock) reason="the drain deadline is an operator real-time bound; it never feeds estimates"
+                    #[allow(clippy::disallowed_methods)]
                     let remaining = deadline.saturating_duration_since(std::time::Instant::now());
                     if remaining.is_zero() {
                         return false;
@@ -704,8 +706,7 @@ impl Service {
         }
         if ctx.tracer.is_enabled() {
             ctx.tracer.emit(
-                Category::Recovery,
-                "replay",
+                EventName::REPLAY,
                 &[
                     ("records", FieldValue::U64(report.records)),
                     ("dropped_bytes", FieldValue::U64(report.dropped_bytes)),
@@ -1062,8 +1063,7 @@ fn supervisor_loop(
         workers.lock().push(spawn_worker(Arc::clone(&ctx)));
         if ctx.tracer.is_enabled() {
             ctx.tracer.emit(
-                Category::Recovery,
-                "respawn",
+                EventName::RESPAWN,
                 &[
                     ("point", FieldValue::Str(point.clone())),
                     (
@@ -1103,8 +1103,7 @@ fn trace_settle(tracer: &Tracer, job: u64, used: u64, reason: &str) {
         return;
     }
     tracer.emit(
-        Category::Job,
-        "settle",
+        EventName::SETTLE,
         &[
             ("job_id", FieldValue::U64(job)),
             ("used", FieldValue::U64(used)),
@@ -1181,8 +1180,7 @@ impl CheckpointSink for JobSink {
         self.stats.record_checkpoint();
         if self.tracer.is_enabled() {
             self.tracer.emit(
-                Category::Checkpoint,
-                "checkpoint",
+                EventName::CHECKPOINT,
                 &[
                     ("job_id", FieldValue::U64(self.job)),
                     ("steps", FieldValue::U64(checkpoint.steps)),
@@ -1241,8 +1239,7 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
     let tracer = &ctx.tracer;
     let span = if tracer.is_enabled() {
         tracer.span_start(
-            Category::Job,
-            "job",
+            SpanName::JOB,
             &[
                 ("job_id", FieldValue::U64(job.id)),
                 ("algorithm", FieldValue::from(job.spec.algorithm.name())),
@@ -1303,8 +1300,7 @@ fn run_job(analyzer: &MicroblogAnalyzer<'_>, ctx: &WorkerCtx, mut job: Job) -> R
             },
         };
         tracer.span_end(
-            Category::Job,
-            "job",
+            SpanName::JOB,
             span,
             &[
                 ("job_id", FieldValue::U64(job.id)),

@@ -39,7 +39,9 @@ use microblog_analyzer::Estimate;
 use microblog_api::cache::CoalesceStats;
 use microblog_api::SchedStats;
 use microblog_obs::window::{percentile, WindowedHistogram, WindowedSeries};
-use microblog_obs::{to_json_line, Category, EventKind, FieldValue, TraceEvent, TraceSink, Tracer};
+use microblog_obs::{
+    to_json_line, Category, EventKind, EventName, FieldValue, TraceEvent, TraceSink, Tracer,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
@@ -499,10 +501,10 @@ impl StatsHub {
             inner.queries.retain(|_, q| !q.done);
             (window, gauge, queries)
         };
-        tracer.emit(Category::Stats, "window", &window_fields);
-        tracer.emit(Category::Stats, "gauges", &gauge_fields);
+        tracer.emit(EventName::WINDOW, &window_fields);
+        tracer.emit(EventName::GAUGES, &gauge_fields);
         for fields in &query_fields {
-            tracer.emit(Category::Stats, "query", fields);
+            tracer.emit(EventName::QUERY, fields);
         }
     }
 
@@ -796,7 +798,7 @@ impl TraceSink for StatsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microblog_obs::{TelemetryClock, TelemetryMode, WalkPhase};
+    use microblog_obs::{SpanName, TelemetryClock, TelemetryMode, WalkPhase};
 
     fn hub() -> StatsHub {
         StatsHub::new(StatsConfig {
@@ -1013,7 +1015,7 @@ mod tests {
         let clock = Arc::new(TelemetryClock::new(TelemetryMode::Logical));
         let tracer = Tracer::new(Arc::new(sink), clock);
         // A non-stats event reaches the hub, not the stream.
-        tracer.span_start(Category::Walk, "pilot", &[]);
+        tracer.span_start(SpanName::PILOT, &[]);
         assert!(buf.lock().is_empty());
         // A stats emission reaches the stream as JSONL.
         hub.emit(&tracer, GaugeReading::default());
