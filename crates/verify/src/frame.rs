@@ -274,20 +274,44 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// Decodes one number in the JSON grammar: `-?(0|[1-9][0-9]*)`, an
+    /// optional `.digits` fraction and an optional `e[+-]digits`
+    /// exponent. Integers stay exact: non-negative ones as `u64`,
+    /// negative ones parsed with their sign as `i64`, so `i64::MIN`
+    /// decodes.
     fn number(&mut self) -> Result<Num, DecodeError> {
         let start = self.i;
-        while matches!(
-            self.b.get(self.i),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        if self.b.get(self.i) == Some(&b'-') {
             self.i += 1;
+        }
+        match self.b.get(self.i) {
+            Some(b'0') => self.i += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(DecodeError::new(start, "expected value")),
+        }
+        let mut float = false;
+        if self.b.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            if self.digits() == 0 {
+                return Err(DecodeError::new(self.i, "expected a digit after `.`"));
+            }
+            float = true;
+        }
+        if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            if self.digits() == 0 {
+                return Err(DecodeError::new(self.i, "expected an exponent digit"));
+            }
+            float = true;
         }
         let text = std::str::from_utf8(&self.b[start..self.i])
             .map_err(|_| DecodeError::new(start, "invalid UTF-8 in number"))?;
-        if text.is_empty() {
-            return Err(DecodeError::new(start, "expected value"));
-        }
-        if text.bytes().any(|c| matches!(c, b'.' | b'e' | b'E')) {
+        if float {
             let v: f64 = text
                 .parse()
                 .map_err(|_| DecodeError::new(start, "bad float"))?;
@@ -295,10 +319,9 @@ impl<'a> Parser<'a> {
                 return Err(DecodeError::new(start, "non-finite float"));
             }
             Ok(Num::F64(v))
-        } else if let Some(neg) = text.strip_prefix('-') {
-            let v: i64 = neg
-                .parse::<i64>()
-                .map(|v| -v)
+        } else if text.starts_with('-') {
+            let v: i64 = text
+                .parse()
                 .map_err(|_| DecodeError::new(start, "bad integer"))?;
             Ok(Num::I64(v))
         } else {
@@ -307,6 +330,15 @@ impl<'a> Parser<'a> {
                 .map_err(|_| DecodeError::new(start, "bad integer"))?;
             Ok(Num::U64(v))
         }
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while matches!(self.b.get(self.i), Some(b'0'..=b'9')) {
+            self.i += 1;
+        }
+        self.i - start
     }
 }
 
@@ -515,6 +547,34 @@ mod tests {
     fn deep_nesting_errors_instead_of_recursing_forever() {
         let bomb = "[".repeat(10_000);
         assert!(parse_json(&bomb).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (from, to) in [
+            ("\"tick\":42", "\"tick\":+42"),
+            ("\"tick\":42", "\"tick\":042"),
+            ("\"tick\":42", "\"tick\":--42"),
+            ("\"level\":2", "\"level\":--2"),
+        ] {
+            let bad = LINE.replace(from, to);
+            assert!(Frame::decode(&bad).is_err(), "{bad}");
+        }
+        for bad in [".5", "5.", "+1.5", "-", "1e", "1e+", "-.5", "01.5"] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+        let min = LINE.replace("\"level\":2", "\"level\":-9223372036854775808");
+        assert_eq!(Frame::decode(&min).expect("decodes").level, Some(i64::MIN));
+        for (text, num) in [
+            ("0", Num::U64(0)),
+            ("-0", Num::I64(0)),
+            ("18446744073709551615", Num::U64(u64::MAX)),
+            ("-2.5e-3", Num::F64(-2.5e-3)),
+            ("1E+2", Num::F64(100.0)),
+            ("0.5", Num::F64(0.5)),
+        ] {
+            assert_eq!(parse_json(text), Ok(Json::Num(num)), "{text}");
+        }
     }
 
     #[test]
