@@ -104,17 +104,18 @@ impl Category {
 /// constructs one, so [`crate::Tracer::emit`] cannot record an
 /// unregistered or misspelled event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventName {
-    pub(crate) category: Category,
-    pub(crate) name: &'static str,
-}
+pub struct EventName(pub(crate) Name);
 
 /// A registered span name, recorded by [`crate::Tracer::span_start`] and
 /// [`crate::Tracer::span_end`]. A name may be both a span and a point
 /// event: the `pilot` span brackets MA-TARW's pilot phase, and each
 /// `pilot` event reports one pilot measurement inside it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanName {
+pub struct SpanName(pub(crate) Name);
+
+/// The (category, name) pair an [`EventName`] or [`SpanName`] carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Name {
     pub(crate) category: Category,
     pub(crate) name: &'static str,
 }
@@ -126,7 +127,7 @@ macro_rules! vocabulary {
         impl $ty {
             $(
                 $(#[$doc])*
-                pub const $konst: $ty = $ty { category: Category::$cat, name: $name };
+                pub const $konst: $ty = $ty(Name { category: Category::$cat, name: $name });
             )*
 
             /// Every registered name, in table order.

@@ -33,14 +33,14 @@ pub const STATS_CONSERVED_KEYS: [&str; 11] = [
 pub fn is_event(category: Category, name: &str) -> bool {
     EventName::ALL
         .iter()
-        .any(|e| e.category == category && e.name == name)
+        .any(|e| e.0.category == category && e.0.name == name)
 }
 
 /// Whether `name` is a legal span name for `category`.
 pub fn is_span(category: Category, name: &str) -> bool {
     SpanName::ALL
         .iter()
-        .any(|s| s.category == category && s.name == name)
+        .any(|s| s.0.category == category && s.0.name == name)
 }
 
 /// Parses the `cat` field of a serialized frame.

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::clock::TelemetryClock;
-use crate::event::{Category, EventKind, EventName, FieldValue, SpanName, TraceEvent, WalkPhase};
+use crate::event::{EventKind, EventName, FieldValue, Name, SpanName, TraceEvent, WalkPhase};
 use crate::sink::TraceSink;
 
 /// Sentinel for "no level published" in the ambient level cell. Real
@@ -104,7 +104,7 @@ impl Tracer {
 
     /// Records a point event in the current phase/level context.
     pub fn emit(&self, name: EventName, fields: &[(&'static str, FieldValue)]) {
-        self.push(EventKind::Event, name.category, name.name, None, fields);
+        self.push(EventKind::Event, name.0, None, fields);
     }
 
     /// Opens a span and returns its id (0 when disabled; passing 0 back
@@ -112,35 +112,21 @@ impl Tracer {
     pub fn span_start(&self, name: SpanName, fields: &[(&'static str, FieldValue)]) -> u64 {
         let Some(core) = &self.core else { return 0 };
         let id = core.next_span.fetch_add(1, Ordering::Relaxed);
-        self.push(
-            EventKind::SpanStart,
-            name.category,
-            name.name,
-            Some(id),
-            fields,
-        );
+        self.push(EventKind::SpanStart, name.0, Some(id), fields);
         id
     }
 
     /// Closes the span opened under `id`.
     pub fn span_end(&self, name: SpanName, id: u64, fields: &[(&'static str, FieldValue)]) {
-        self.push(
-            EventKind::SpanEnd,
-            name.category,
-            name.name,
-            Some(id),
-            fields,
-        );
+        self.push(EventKind::SpanEnd, name.0, Some(id), fields);
     }
 
-    /// Records one edge; `category` and `name` come from a registered
-    /// [`EventName`] or [`SpanName`]. A disabled tracer returns at the
-    /// first branch.
+    /// Records one edge of a registered name. A disabled tracer returns
+    /// at the first branch.
     fn push(
         &self,
         kind: EventKind,
-        category: Category,
-        name: &'static str,
+        name: Name,
         span: Option<u64>,
         fields: &[(&'static str, FieldValue)],
     ) {
@@ -150,8 +136,8 @@ impl Tracer {
             tick: core.clock.now().as_micros() as u64,
             seq: core.seq.fetch_add(1, Ordering::Relaxed),
             kind,
-            category,
-            name,
+            category: name.category,
+            name: name.name,
             span,
             phase: self.phase(),
             level: (level_raw != NO_LEVEL).then_some(level_raw),
