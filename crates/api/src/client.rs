@@ -20,11 +20,10 @@ use crate::sched::{FetchKey, PrefetchSink};
 use microblog_obs::{EventName, FieldValue, Tracer};
 use microblog_platform::metric::MetricInputs;
 use microblog_platform::{
-    ApiBackend, ApiEndpoint, Fault, KeywordId, Platform, Post, PostId, TimeWindow, Timestamp,
-    UserId, UserProfile,
+    ApiBackend, ApiEndpoint, Fault, IdMap, KeywordId, Platform, Post, PostId, TimeWindow,
+    Timestamp, UserId, UserProfile,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The serializable cache/accounting state of a [`CachingClient`],
@@ -349,9 +348,9 @@ impl<'a> MicroblogClient<'a> {
 #[derive(Clone)]
 pub struct CachingClient<'a> {
     inner: ResilientClient<'a>,
-    timelines: HashMap<UserId, Arc<UserView>>,
-    connections: HashMap<UserId, Arc<Vec<UserId>>>,
-    searches: HashMap<KeywordId, Arc<Vec<SearchHit>>>,
+    timelines: IdMap<UserId, Arc<UserView>>,
+    connections: IdMap<UserId, Arc<Vec<UserId>>>,
+    searches: IdMap<KeywordId, Arc<Vec<SearchHit>>>,
     shared: Option<Arc<dyn CacheLayer>>,
     prefetch: Option<&'a dyn PrefetchSink>,
     stats: CacheStats,
@@ -390,9 +389,9 @@ impl<'a> CachingClient<'a> {
     pub fn resilient(inner: ResilientClient<'a>, shared: Option<Arc<dyn CacheLayer>>) -> Self {
         CachingClient {
             inner,
-            timelines: HashMap::new(),
-            connections: HashMap::new(),
-            searches: HashMap::new(),
+            timelines: IdMap::default(),
+            connections: IdMap::default(),
+            searches: IdMap::default(),
             shared,
             prefetch: None,
             stats: CacheStats::default(),
@@ -603,6 +602,25 @@ impl<'a> CachingClient<'a> {
         Ok(fresh)
     }
 
+    /// Counts a memo hit on `key` that a caller served from its own memo
+    /// of a value derived from this client's response, exactly as the
+    /// memoized branch of [`CachingClient::user_timeline`] /
+    /// [`CachingClient::connections`] would have: one `local_hits`, one
+    /// `local_hit` event, no charge. The caller's memo may hold `key` only
+    /// if the fetch succeeded here first; since this memo never shrinks,
+    /// the response is still memoized, which debug builds assert.
+    pub fn count_local_hit(&mut self, key: FetchKey) {
+        debug_assert!(
+            match key {
+                FetchKey::Timeline(u) => self.timelines.contains_key(&u),
+                FetchKey::Connections(u) => self.connections.contains_key(&u),
+            },
+            "{key:?} counted as a memo hit but is not memoized in the client"
+        );
+        self.trace_cache(EventName::LOCAL_HIT, key.endpoint());
+        self.stats.local_hits += 1;
+    }
+
     /// Number of distinct users whose timeline was fetched.
     pub fn distinct_timelines(&self) -> usize {
         self.timelines.len()
@@ -718,7 +736,7 @@ impl<'a> CachingClient<'a> {
 }
 
 /// Replaces `sorted` with `memo`'s sorted keys when the lengths differ.
-fn refresh_sorted<K: Copy + Ord, V>(sorted: &mut Vec<K>, memo: &HashMap<K, V>) {
+fn refresh_sorted<K: Copy + Ord, V>(sorted: &mut Vec<K>, memo: &IdMap<K, V>) {
     if sorted.len() != memo.len() {
         sorted.clear();
         sorted.extend(memo.keys().copied());
@@ -734,7 +752,7 @@ mod tests {
     /// A fresh collect-and-sort capture: what `checkpoint_state` must
     /// equal whether or not it reused its sorted lists.
     fn collected(client: &CachingClient<'_>) -> ClientState {
-        fn sorted<K: Copy + Ord, V>(memo: &HashMap<K, V>) -> Vec<K> {
+        fn sorted<K: Copy + Ord, V>(memo: &IdMap<K, V>) -> Vec<K> {
             let mut keys: Vec<K> = memo.keys().copied().collect();
             keys.sort_unstable();
             keys
@@ -806,5 +824,32 @@ mod tests {
         let installed = restored.checkpoint_state();
         assert_eq!(installed, collected(&restored));
         assert_eq!(keys(&installed), keys(&regrown));
+    }
+
+    #[test]
+    fn count_local_hit_counts_like_a_memo_hit() {
+        let s = twitter_2013(Scale::Tiny, 3);
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        client.user_timeline(UserId(4)).unwrap();
+        client.connections(UserId(4)).unwrap();
+        let mut counted = client.clone();
+        client.user_timeline(UserId(4)).unwrap();
+        client.connections(UserId(4)).unwrap();
+        counted.count_local_hit(FetchKey::Timeline(UserId(4)));
+        counted.count_local_hit(FetchKey::Connections(UserId(4)));
+        assert_eq!(counted.checkpoint_state(), client.checkpoint_state());
+        assert_eq!(counted.cache_stats().local_hits, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not memoized in the client")]
+    fn count_local_hit_asserts_the_key_is_memoized() {
+        let s = twitter_2013(Scale::Tiny, 3);
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        client.user_timeline(UserId(4)).unwrap();
+        client.count_local_hit(FetchKey::Connections(UserId(4)));
     }
 }

@@ -15,6 +15,10 @@
 //! The workload is deterministic (fixed world seed, fixed job seeds);
 //! only the wall-clock rates and the coalescing race outcomes vary
 //! run-to-run. `--smoke` shrinks everything for CI.
+//!
+//! `ma-bench diff A.json B.json` reads two such files as a trajectory
+//! step: every key both share, with A, B and B/A for numbers, then the
+//! keys only one of them has.
 
 // A benchmark times real hardware, so the workspace's wall-clock ban
 // (`crates/clippy.toml`) does not apply here.
@@ -33,6 +37,7 @@ use microblog_service::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::value::Value;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -200,8 +205,12 @@ fn main() {
     let code = match args.first().map(String::as_str) {
         Some("perf") => perf(&args[1..]),
         Some("check") => check(&args[1..]),
+        Some("diff") => diff(&args[1..]),
         _ => {
-            eprintln!("usage: ma-bench perf [--smoke] --out PATH | ma-bench check PATH");
+            eprintln!(
+                "usage: ma-bench perf [--smoke] --out PATH | ma-bench check PATH \
+                 | ma-bench diff A.json B.json"
+            );
             2
         }
     };
@@ -902,5 +911,125 @@ fn check(args: &[String]) -> i32 {
     } else {
         eprintln!("{path}: schema drift:\n{}", problems.join("\n"));
         1
+    }
+}
+
+/// Prints how bench file B differs from bench file A (see
+/// [`diff_report`]). Exits 2 when either file cannot be read or is not a
+/// JSON object.
+fn diff(args: &[String]) -> i32 {
+    let [a, b] = args else {
+        eprintln!("usage: ma-bench diff A.json B.json");
+        return 2;
+    };
+    let read = |path: &String| -> Result<Vec<(String, Value)>, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        match serde_json::parse_value_str(&text) {
+            Ok(Value::Map(entries)) => Ok(entries),
+            Ok(_) => Err(format!("{path}: top level must be an object")),
+            Err(e) => Err(format!("{path}: not valid JSON: {e:?}")),
+        }
+    };
+    match (read(a), read(b)) {
+        (Ok(a), Ok(b)) => {
+            print!("{}", diff_report(&a, &b));
+            0
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            2
+        }
+    }
+}
+
+/// One line per key both objects share, in A's order: `key A B B/A` for
+/// two numbers (B/A is `-` when A is 0), `key A B` otherwise; then the
+/// keys only A has, then those only B has, with their values.
+fn diff_report(a: &[(String, Value)], b: &[(String, Value)]) -> String {
+    use std::fmt::Write as _;
+    fn render(v: &Value) -> String {
+        match v {
+            Value::Str(s) => s.clone(),
+            other => serde_json::to_string(other).unwrap_or_else(|_| other.kind().to_string()),
+        }
+    }
+    fn number(v: &Value) -> Option<f64> {
+        matches!(v.kind(), "integer" | "number")
+            .then(|| v.as_f64())
+            .flatten()
+    }
+    fn lookup<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+        entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    let width = a.iter().chain(b).map(|(k, _)| k.len()).max().unwrap_or(0);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:width$}  {:>14}  {:>14}  {:>8}",
+        "key", "A", "B", "B/A"
+    );
+    for (key, va) in a {
+        let Some(vb) = lookup(b, key) else {
+            continue;
+        };
+        let (ra, rb) = (render(va), render(vb));
+        let _ = match (number(va), number(vb)) {
+            (Some(x), Some(y)) => {
+                let ratio = if x == 0.0 {
+                    "-".to_string()
+                } else {
+                    format!("{:.3}", y / x)
+                };
+                writeln!(out, "{key:width$}  {ra:>14}  {rb:>14}  {ratio:>8}")
+            }
+            _ => writeln!(out, "{key:width$}  {ra:>14}  {rb:>14}"),
+        };
+    }
+    for (label, mine, other) in [("A", a, b), ("B", b, a)] {
+        for (key, v) in mine.iter().filter(|(k, _)| lookup(other, k).is_none()) {
+            let _ = writeln!(out, "only in {label}: {key} = {}", render(v));
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn object(text: &str) -> Vec<(String, Value)> {
+        match serde_json::parse_value_str(text).expect("literal JSON") {
+            Value::Map(entries) => entries,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn diff_lists_shared_keys_with_ratios_then_one_sided_keys() {
+        let a = object(
+            r#"{"schema_version": 4, "qps": 50.0, "zero": 0, "smoke": false, "gone": 1, "label": "x"}"#,
+        );
+        let b = object(
+            r#"{"label": "y", "qps": 75.5, "zero": 3, "smoke": true, "schema_version": 4, "new": [1, 2]}"#,
+        );
+        let report = diff_report(&a, &b);
+        let rows: Vec<Vec<&str>> = report
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec!["key", "A", "B", "B/A"],
+                vec!["schema_version", "4", "4", "1.000"],
+                vec!["qps", "50.0", "75.5", "1.510"],
+                vec!["zero", "0", "3", "-"],
+                vec!["smoke", "false", "true"],
+                vec!["label", "x", "y"],
+                vec!["only", "in", "A:", "gone", "=", "1"],
+                vec!["only", "in", "B:", "new", "=", "[1,2]"],
+            ],
+            "{report}"
+        );
     }
 }

@@ -15,8 +15,8 @@
 
 use crate::level::LevelAssigner;
 use crate::query::AggregateQuery;
-use microblog_api::{ApiError, CachingClient, UserView};
-use microblog_platform::{Duration, TimeWindow, UserId};
+use microblog_api::{ApiError, CachingClient, FetchKey};
+use microblog_platform::{Duration, IdMap, TimeWindow, UserId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -53,11 +53,19 @@ impl ViewKind {
 /// without cloning both vectors.
 pub type LevelSplit = Arc<(Vec<UserId>, Vec<UserId>)>;
 
+/// A sampled node's `(matches, numerator, denominator)` under the view's
+/// query (see [`QueryGraph::sample`]).
+pub(crate) type SampleValues = (bool, f64, f64);
+
 /// A lazily-materialized, API-backed graph view scoped to one query.
+///
+/// Every memo is keyed by platform-assigned user ids, so they use the
+/// keyless [`IdMap`]; nothing iterates them.
 pub struct QueryGraph<'c, 'p> {
     client: &'c mut CachingClient<'p>,
     kind: ViewKind,
-    keyword: microblog_platform::KeywordId,
+    /// The query the view was built (or last [`Self::set_view`]) for.
+    query: AggregateQuery,
     window: TimeWindow,
     assigner: Option<LevelAssigner>,
     /// Salt for the deterministic intra-edge coin (Fig. 4 ablation).
@@ -65,11 +73,13 @@ pub struct QueryGraph<'c, 'p> {
     /// Memoized member levels (`first_mention` scans a whole timeline, so
     /// recomputing it per neighbor probe would dominate CPU time; the API
     /// cost is already paid once through the caching client).
-    level_memo: std::collections::HashMap<UserId, Option<i64>>,
+    level_memo: IdMap<UserId, Option<i64>>,
     /// Memoized `(above, below)` splits for the level walks.
-    split_memo: std::collections::HashMap<UserId, LevelSplit>,
+    split_memo: IdMap<UserId, LevelSplit>,
     /// Memoized keyword-scoped neighbor lists, in connection order.
-    nbr_memo: std::collections::HashMap<UserId, Arc<Vec<UserId>>>,
+    nbr_memo: IdMap<UserId, Arc<Vec<UserId>>>,
+    /// Memoized per-sample values of sampled nodes.
+    sample_memo: IdMap<UserId, SampleValues>,
 }
 
 impl<'c, 'p> QueryGraph<'c, 'p> {
@@ -79,13 +89,14 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
         let mut graph = QueryGraph {
             client,
             kind,
-            keyword: query.keyword,
+            query: query.clone(),
             window,
             assigner: None,
             salt: 0x5EED,
-            level_memo: std::collections::HashMap::new(),
-            split_memo: std::collections::HashMap::new(),
-            nbr_memo: std::collections::HashMap::new(),
+            level_memo: IdMap::default(),
+            split_memo: IdMap::default(),
+            nbr_memo: IdMap::default(),
+            sample_memo: IdMap::default(),
         };
         graph.set_view(query, kind);
         graph
@@ -97,7 +108,7 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
     /// then its chosen level view this way.
     pub(crate) fn set_view(&mut self, query: &AggregateQuery, kind: ViewKind) {
         self.kind = kind;
-        self.keyword = query.keyword;
+        self.query.clone_from(query);
         self.window = query.effective_window(self.client.now());
         self.assigner = match kind {
             ViewKind::LevelByLevel { interval, .. } => {
@@ -108,6 +119,7 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
         self.level_memo.clear();
         self.split_memo.clear();
         self.nbr_memo.clear();
+        self.sample_memo.clear();
     }
 
     /// Overrides the ablation salt (so repeated runs drop *different*
@@ -133,9 +145,22 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
         self.client.cost()
     }
 
-    /// The (cached) timeline+profile view of `u`.
-    pub fn view(&mut self, u: UserId) -> Result<Arc<UserView>, ApiError> {
-        self.client.user_timeline(u)
+    /// `u`'s `(matches, numerator, denominator)` under the view's query —
+    /// how every sampler evaluates a node.
+    ///
+    /// Memoized until [`Self::set_view`]: the values depend only on `u`,
+    /// the query and the platform clock, which is constant, and computing
+    /// them scans `u`'s timeline once or twice. A hit counts the timeline
+    /// hit the fetch would have made; a failed fetch memoizes nothing.
+    pub(crate) fn sample(&mut self, u: UserId) -> Result<SampleValues, ApiError> {
+        if let Some(&hit) = self.sample_memo.get(&u) {
+            self.client.count_local_hit(FetchKey::Timeline(u));
+            return Ok(hit);
+        }
+        let view = self.client.user_timeline(u)?;
+        let values = self.query.sample_values(&view, self.client.now());
+        self.sample_memo.insert(u, values);
+        Ok(values)
     }
 
     /// Mutable access to the underlying client (seed search etc.).
@@ -163,7 +188,7 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
             return Ok(cached);
         }
         let view = self.client.user_timeline(u)?;
-        let first = view.first_mention(self.keyword, self.window);
+        let first = view.first_mention(self.query.keyword, self.window);
         let level = match (first, &self.assigner) {
             (Some(t), Some(a)) => Some(a.level_of_time(t)),
             (Some(t), None) => Some(t.0), // membership marker; level unused
@@ -180,13 +205,16 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
     /// cost structure the paper pays during its walks. The filtered list is
     /// memoized until [`Self::set_view`], and only once every probe has
     /// succeeded; `FullGraph` hands out the client's own memoized list. A
-    /// memo hit still asks the client for `u`'s connections first, so it
-    /// counts as the client hit a re-filtering step would have made.
+    /// memo hit counts the client's connections hit a re-filtering step
+    /// would have made, without probing the client's memo: a list is
+    /// memoized here only after the client fetched `u`'s connections, and
+    /// the client's memo never shrinks.
     pub fn neighbors(&mut self, u: UserId) -> Result<Arc<Vec<UserId>>, ApiError> {
-        let conns = self.client.connections(u)?;
         if let Some(hit) = self.nbr_memo.get(&u) {
+            self.client.count_local_hit(FetchKey::Connections(u));
             return Ok(Arc::clone(hit));
         }
+        let conns = self.client.connections(u)?;
         let mut out = Vec::new();
         match self.kind {
             ViewKind::FullGraph => return Ok(conns),
@@ -229,9 +257,9 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
     /// before any chain steps puts *all* of a round's timeline batches in
     /// flight at once, instead of one chain's batch at a time — the
     /// difference between ~N serial RTT walls per round and ~one. A node
-    /// whose list is memoized stops after the (counted) connections hit:
-    /// building its list fetched every candidate, so nothing is left to
-    /// announce.
+    /// whose list is memoized stops after counting the connections hit, as
+    /// [`Self::neighbors`] does: building its list fetched every candidate,
+    /// so nothing is left to announce.
     ///
     /// Errors are deliberately swallowed: nothing is memoized on failure,
     /// so the step's own fetch re-issues the call and settles walk-ending
@@ -240,12 +268,13 @@ impl<'c, 'p> QueryGraph<'c, 'p> {
     /// announces are no-ops without one), which keeps pipelined and
     /// sequential execution — and therefore charging — on one sequence.
     pub fn prefetch_step(&mut self, u: UserId) {
+        if self.nbr_memo.contains_key(&u) {
+            self.client.count_local_hit(FetchKey::Connections(u));
+            return;
+        }
         let Ok(conns) = self.client.connections(u) else {
             return;
         };
-        if self.nbr_memo.contains_key(&u) {
-            return;
-        }
         match self.kind {
             ViewKind::FullGraph => {}
             ViewKind::TermInduced => self.client.announce_timelines(&conns),
@@ -340,6 +369,9 @@ impl microblog_graph::walk::NeighborSource for QueryGraph<'_, '_> {
 mod tests {
     use super::*;
     use microblog_api::{ApiProfile, CacheStats, MicroblogClient, QueryBudget};
+    use microblog_obs::{
+        FieldValue, RecorderConfig, RingRecorder, TelemetryClock, TelemetryMode, Tracer,
+    };
     use microblog_platform::scenario::{twitter_2013, Scale};
     use microblog_platform::{FaultPlan, FaultyPlatform, UserMetric};
 
@@ -493,6 +525,118 @@ mod tests {
             assert_eq!(&got, want, "node {}", u.0);
         }
         assert!(failures > 0, "the fault plan never fired");
+    }
+
+    /// Sample values with the floats as bits, so equality is exact.
+    fn bits((matches, num, den): SampleValues) -> (bool, u64, u64) {
+        (matches, num.to_bits(), den.to_bits())
+    }
+
+    /// `walk_nodes()`'s world and nodes with its COUNT query and the AVG
+    /// query over the same keyword and window.
+    fn count_and_avg() -> (
+        microblog_platform::scenario::Scenario,
+        [AggregateQuery; 2],
+        Vec<UserId>,
+    ) {
+        let (s, count, nodes) = walk_nodes();
+        let avg = AggregateQuery::avg(UserMetric::FollowerCount, count.keyword).in_window(s.window);
+        (s, [count, avg], nodes)
+    }
+
+    #[test]
+    fn memoized_sample_matches_sample_values_and_counts_one_timeline_hit() {
+        let (s, queries, nodes) = count_and_avg();
+        for q in queries {
+            let mut fresh =
+                CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+            let recorder = Arc::new(RingRecorder::new(RecorderConfig::default()));
+            let tracer = Tracer::new(
+                recorder.clone(),
+                Arc::new(TelemetryClock::new(TelemetryMode::Logical)),
+            );
+            let mut client = CachingClient::new(
+                MicroblogClient::new(&s.platform, ApiProfile::twitter()).with_tracer(tracer),
+            );
+            let mut g = QueryGraph::new(&mut client, &q, ViewKind::level(Duration::DAY));
+            for &u in &nodes {
+                let want = q.sample_values(&fresh.user_timeline(u).unwrap(), fresh.now());
+                let first = g.sample(u).unwrap();
+                assert_eq!(bits(first), bits(want), "{:?} node {}", q.aggregate, u.0);
+                let (before, cost) = (*g.client().cache_stats(), g.cost());
+                recorder.drain();
+                let again = g.sample(u).unwrap();
+                assert_eq!(bits(again), bits(want), "{:?} node {}", q.aggregate, u.0);
+                assert_eq!(
+                    *g.client().cache_stats(),
+                    CacheStats {
+                        local_hits: before.local_hits + 1,
+                        ..before
+                    }
+                );
+                assert_eq!(g.cost(), cost);
+                let events = recorder.drain();
+                assert_eq!(events.len(), 1, "{events:?}");
+                assert_eq!(events[0].name, "local_hit");
+                assert_eq!(
+                    events[0].field("endpoint"),
+                    Some(&FieldValue::from("timeline"))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn failed_timeline_fetch_memoizes_no_sample() {
+        let (s, queries, nodes) = count_and_avg();
+        let faulty =
+            FaultyPlatform::new(Arc::new(s.platform.clone()), FaultPlan::transient(11, 0.3));
+        for q in queries {
+            let mut clean =
+                CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+            let mut client = CachingClient::new(MicroblogClient::from_backend(
+                &faulty,
+                ApiProfile::twitter(),
+                QueryBudget::unlimited(),
+            ));
+            let mut g = QueryGraph::new(&mut client, &q, ViewKind::level(Duration::DAY));
+            let mut failures = 0;
+            for &u in &nodes {
+                let want = q.sample_values(&clean.user_timeline(u).unwrap(), clean.now());
+                let got = loop {
+                    match g.sample(u) {
+                        Ok(values) => break values,
+                        Err(_) => {
+                            assert!(!g.sample_memo.contains_key(&u), "node {}", u.0);
+                            failures += 1;
+                        }
+                    }
+                };
+                assert_eq!(bits(got), bits(want), "{:?} node {}", q.aggregate, u.0);
+            }
+            assert!(failures > 0, "the fault plan never fired");
+        }
+    }
+
+    #[test]
+    fn set_view_drops_the_sample_memo_and_takes_the_new_query() {
+        let (s, [count, avg], nodes) = count_and_avg();
+        let mut client =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        let kind = ViewKind::level(Duration::DAY);
+        let mut g = QueryGraph::new(&mut client, &count, kind);
+        for &u in &nodes {
+            g.sample(u).unwrap();
+        }
+        assert_eq!(g.sample_memo.len(), nodes.len());
+        g.set_view(&avg, kind);
+        assert!(g.sample_memo.is_empty());
+        let now = g.client().now();
+        for &u in &nodes {
+            let view = g.client_mut().user_timeline(u).unwrap();
+            let want = avg.sample_values(&view, now);
+            assert_eq!(bits(g.sample(u).unwrap()), bits(want), "node {}", u.0);
+        }
     }
 
     #[test]

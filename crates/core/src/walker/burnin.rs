@@ -44,19 +44,17 @@ pub fn measure_burn_in<R: Rng>(
     rng: &mut R,
 ) -> Result<BurnInMeasurement, EstimateError> {
     let seeds = fetch_seeds(client, query)?;
-    let now = client.now();
     let mut graph = QueryGraph::new(client, query, view);
     let mut chain: Vec<f64> = Vec::with_capacity(max_steps);
     let mut current = seeds[rng.gen_range(0..seeds.len())]; // ma-lint: allow(panic-safety) reason="index sampled from gen_range(0..len), in range by construction"
     for _ in 0..max_steps {
-        let user_view = match graph.view(current) {
-            Ok(v) => v,
+        // The diagnostic runs on the chain of f(u) values — the quantity
+        // whose mixing actually matters for the aggregate.
+        let num = match graph.sample(current) {
+            Ok((_, num, _)) => num,
             Err(e) if e.ends_walk() => break,
             Err(e) => return Err(e.into()),
         };
-        // The diagnostic runs on the chain of f(u) values — the quantity
-        // whose mixing actually matters for the aggregate.
-        let (_, num, _) = query.sample_values(&user_view, now);
         chain.push(num);
         let nbrs = match graph.neighbors(current) {
             Ok(n) => n,

@@ -19,7 +19,7 @@ use crate::view::{QueryGraph, ViewKind};
 use microblog_api::CachingClient;
 use microblog_graph::sizing::CollisionCounter;
 use microblog_obs::{EventName, FieldValue, Tracer, WalkPhase};
-use microblog_platform::{Timestamp, UserId};
+use microblog_platform::UserId;
 use rand::Rng;
 
 /// Batch size of the batch-mean standard error.
@@ -73,7 +73,6 @@ pub(crate) struct Mhrw<'a, 'p> {
     query: &'a AggregateQuery,
     config: MhrwConfig,
     seeds: Vec<UserId>,
-    now: Timestamp,
     tracer: Tracer,
     phase: WalkPhase,
     current: UserId,
@@ -106,7 +105,6 @@ impl<'a, 'p> Mhrw<'a, 'p> {
         };
         let tracer = client.tracer().clone();
         let seeds = fetch_seeds(client, query)?;
-        let now = client.now();
         let graph = QueryGraph::new(client, query, config.view);
         let fresh;
         let state = match resume {
@@ -138,7 +136,6 @@ impl<'a, 'p> Mhrw<'a, 'p> {
             query,
             config: *config,
             seeds,
-            now,
             tracer,
             phase,
             current: state.current,
@@ -205,8 +202,7 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
             tracer.set_phase(self.phase);
         }
         if self.step >= config.burn_in && self.step.is_multiple_of(config.thinning.max(1)) {
-            let view = self.graph.view(self.current)?;
-            let (matches, num, den) = self.query.sample_values(&view, self.now);
+            let (matches, num, den) = self.graph.sample(self.current)?;
             self.sum_num += num;
             self.sum_den += den;
             self.sum_match += matches as u8 as f64;

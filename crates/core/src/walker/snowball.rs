@@ -16,11 +16,11 @@ use crate::query::{Aggregate, AggregateQuery};
 use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::CachingClient;
-use microblog_platform::{Timestamp, UserId};
+use microblog_platform::{IdSet, UserId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Crawl order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,9 +89,8 @@ pub(crate) struct Snowball<'a, 'p> {
     graph: QueryGraph<'a, 'p>,
     query: &'a AggregateQuery,
     config: SnowballConfig,
-    now: Timestamp,
     frontier: VecDeque<UserId>,
-    visited: HashSet<UserId>,
+    visited: IdSet<UserId>,
     sum_num: f64,
     sum_den: f64,
     matches_count: usize,
@@ -119,7 +118,6 @@ impl<'a, 'p> Snowball<'a, 'p> {
             Some(_) => return Err(mismatch()),
         };
         let seeds = fetch_seeds(client, query)?;
-        let now = client.now();
         let fresh;
         let state = match resume {
             Some(state) => state,
@@ -141,7 +139,6 @@ impl<'a, 'p> Snowball<'a, 'p> {
             graph: QueryGraph::new(client, query, config.view),
             query,
             config: *config,
-            now,
             frontier: state.frontier.iter().copied().collect(),
             // ma-lint: allow(determinism) reason="state.visited is the checkpoint's sorted Vec, not the hash set; Vec iteration is ordered"
             visited: state.visited.iter().copied().collect(),
@@ -208,8 +205,7 @@ impl<'p> Sampler<'p> for Snowball<'_, 'p> {
         if !self.visited.insert(u) {
             return Ok(Flow::Continue);
         }
-        let view = self.graph.view(u)?;
-        let (matched, num, den) = self.query.sample_values(&view, self.now);
+        let (matched, num, den) = self.graph.sample(u)?;
         self.sum_num += num;
         self.sum_den += den;
         self.matches_count += matched as usize;

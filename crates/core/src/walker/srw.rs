@@ -22,7 +22,7 @@ use crate::view::{QueryGraph, ViewKind};
 use microblog_api::{ApiError, CachingClient};
 use microblog_graph::diagnostics::geweke_z_default;
 use microblog_obs::{EventName, FieldValue, Tracer, WalkPhase};
-use microblog_platform::{Timestamp, UserId};
+use microblog_platform::UserId;
 use rand::Rng;
 
 /// Emit a running Geweke z-score every this many kept samples (tracing
@@ -85,7 +85,6 @@ pub(crate) struct SrwWalk<'a, 'p> {
     pub(crate) query: &'a AggregateQuery,
     pub(crate) config: SrwConfig,
     pub(crate) seeds: Vec<UserId>,
-    now: Timestamp,
     tracer: Tracer,
 }
 
@@ -98,13 +97,11 @@ impl<'a, 'p> SrwWalk<'a, 'p> {
     ) -> Result<Self, EstimateError> {
         let tracer = client.tracer().clone();
         let seeds = fetch_seeds(client, query)?;
-        let now = client.now();
         Ok(SrwWalk {
             graph: QueryGraph::new(client, query, config.view),
             query,
             config: *config,
             seeds,
-            now,
             tracer,
         })
     }
@@ -215,8 +212,7 @@ impl SrwChain {
             );
         }
         if self.will_sample(&config) {
-            let view = walk.graph.view(self.current)?;
-            let (matches, num, den) = walk.query.sample_values(&view, walk.now);
+            let (matches, num, den) = walk.graph.sample(self.current)?;
             let collide = walk.query.needs_size_estimate()
                 && self.kept.is_multiple_of(config.collision_spacing.max(1));
             let (u, d) = (self.current.0, nbrs.len());

@@ -33,9 +33,8 @@ use crate::seeds::fetch_seeds;
 use crate::view::{QueryGraph, ViewKind};
 use microblog_api::{ApiError, CachingClient};
 use microblog_obs::{EventName, FieldValue, Tracer, WalkPhase};
-use microblog_platform::{Duration, UserId};
+use microblog_platform::{Duration, IdMap, IdSet, UserId};
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
 
 /// How MA-TARW obtains the visit probabilities `p(u)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -379,11 +378,11 @@ impl PAverage {
 /// the true `p̄(u)` instead.
 pub struct ProbabilityEstimator {
     seeds: Vec<UserId>,
-    seed_set: HashSet<UserId>,
-    up_cache: Option<HashMap<UserId, PAverage>>,
-    down_cache: Option<HashMap<UserId, PAverage>>,
-    exact_up: HashMap<UserId, f64>,
-    exact_down: HashMap<UserId, f64>,
+    seed_set: IdSet<UserId>,
+    up_cache: Option<IdMap<UserId, PAverage>>,
+    down_cache: Option<IdMap<UserId, PAverage>>,
+    exact_up: IdMap<UserId, f64>,
+    exact_down: IdMap<UserId, f64>,
     /// Draws to accumulate per cached node before the mean is considered
     /// settled.
     target_draws: u32,
@@ -397,10 +396,10 @@ impl ProbabilityEstimator {
         ProbabilityEstimator {
             seeds: seeds.to_vec(),
             seed_set: seeds.iter().copied().collect(),
-            up_cache: cache.then(HashMap::new),
-            down_cache: cache.then(HashMap::new),
-            exact_up: HashMap::new(),
-            exact_down: HashMap::new(),
+            up_cache: cache.then(IdMap::default),
+            down_cache: cache.then(IdMap::default),
+            exact_up: IdMap::default(),
+            exact_down: IdMap::default(),
             target_draws: 12,
         }
     }
@@ -416,7 +415,7 @@ impl ProbabilityEstimator {
         Self::cache_state(&self.down_cache)
     }
 
-    fn cache_state(cache: &Option<HashMap<UserId, PAverage>>) -> Option<Vec<(UserId, u64, u32)>> {
+    fn cache_state(cache: &Option<IdMap<UserId, PAverage>>) -> Option<Vec<(UserId, u64, u32)>> {
         cache.as_ref().map(|c| {
             let mut entries: Vec<(UserId, u64, u32)> = c
                 .iter()
@@ -442,7 +441,7 @@ impl ProbabilityEstimator {
         }
     }
 
-    fn cache_from(entries: &[(UserId, u64, u32)]) -> HashMap<UserId, PAverage> {
+    fn cache_from(entries: &[(UserId, u64, u32)]) -> IdMap<UserId, PAverage> {
         entries
             .iter()
             .map(|&(u, sum_bits, n)| {
@@ -677,7 +676,6 @@ impl Tarw<'_, '_> {
         self.tracer.set_phase(WalkPhase::Probability);
         self.tracer.set_level(None);
 
-        let now = self.graph.client_mut().now();
         let mut sums = InstanceSums::default();
         // Combined-phase Hansen–Hurwitz: every visit of `u` (in either
         // phase) contributes `f(u) / (p̄(u) + p̂(u))`. The expected number
@@ -690,25 +688,18 @@ impl Tarw<'_, '_> {
         for &u in up_path.iter().chain(&down_path) {
             let p_up = self.averaged_p(rng, u, Phase::Up)?;
             let p_down = self.averaged_p(rng, u, Phase::Down)?;
-            self.accumulate(&mut sums, u, p_up + p_down, now)?;
+            self.accumulate(&mut sums, u, p_up + p_down)?;
         }
         self.up_path = up_path;
         self.down_path = down_path;
         Ok(Some(sums))
     }
 
-    fn accumulate(
-        &mut self,
-        sums: &mut InstanceSums,
-        u: UserId,
-        p: f64,
-        now: microblog_platform::Timestamp,
-    ) -> Result<(), ApiError> {
+    fn accumulate(&mut self, sums: &mut InstanceSums, u: UserId, p: f64) -> Result<(), ApiError> {
         if p <= 0.0 {
             return Ok(());
         }
-        let view = self.graph.view(u)?;
-        let (matches, num, den) = self.query.sample_values(&view, now);
+        let (matches, num, den) = self.graph.sample(u)?;
         sums.num += num / p;
         sums.den += den / p;
         sums.count += matches as u8 as f64 / p;

@@ -28,6 +28,8 @@
 //! * [`sizing`] — the collision-based (mark-and-recapture / Katzir et al.)
 //!   population-size estimator used by the M&R baseline and by MA-SRW for
 //!   COUNT queries.
+//! * [`idhash`] — [`IdMap`] / [`IdSet`], hash collections with a keyless
+//!   hasher for the program-assigned ids the walkers' memos are keyed by.
 //!
 //! The toolkit is deliberately independent of the microblog domain: nodes
 //! are plain `u32` identifiers, and walkers pull neighbor lists through the
@@ -42,6 +44,7 @@ pub mod conductance;
 pub mod csr;
 pub mod diagnostics;
 pub mod directed;
+pub mod idhash;
 pub mod metrics;
 pub mod modularity;
 pub mod sizing;
@@ -49,6 +52,7 @@ pub mod walk;
 
 pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
+pub use idhash::{IdMap, IdSet};
 pub use walk::{Visit, WalkTrace};
 
 /// Node identifier used across the toolkit.

@@ -14,9 +14,8 @@
 //! MA-TARW is designed to avoid, and exactly the behaviour reproduced by
 //! the Figure 3/10 benchmarks.
 
-use crate::NodeId;
+use crate::{IdMap, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Serializable snapshot of a [`CollisionCounter`], used by walker
 /// checkpoints. Floating sums are stored as raw IEEE-754 bits so a
@@ -41,7 +40,7 @@ pub struct CollisionState {
 /// burn-in and thinning); read the size estimate at any point.
 #[derive(Clone, Debug, Default)]
 pub struct CollisionCounter {
-    seen: HashMap<NodeId, usize>,
+    seen: IdMap<NodeId, usize>,
     collisions: u64,
     sum_degree: f64,
     sum_inv_degree: f64,

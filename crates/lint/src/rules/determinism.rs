@@ -4,15 +4,22 @@
 //! estimator arithmetic that folds over it (summing corrections, picking
 //! "the first" seed, draining a frontier) silently breaks bit-for-bit
 //! reproducibility — the exact failure mode PAPERS.md's Katzir-style
-//! estimators die from. On the configured estimator/walker paths this
-//! rule flags iteration over identifiers it saw declared as hash
-//! collections in the same file; point lookups (`get`/`insert`/
-//! `contains`) stay free. Switch to `BTreeMap`, sort before folding, or
-//! annotate why ordering cannot feed arithmetic.
+//! estimators die from. The keyless `IdMap`/`IdSet` aliases
+//! (`microblog_graph::idhash`) iterate in an order fixed by the key set
+//! but set by the hasher and the table's growth history, not by anything
+//! the estimator means, so they count as hash collections too. On the
+//! configured estimator/walker paths this rule flags iteration over
+//! identifiers it saw declared as hash collections in the same file;
+//! point lookups (`get`/`insert`/`contains`) stay free. Switch to
+//! `BTreeMap`, sort before folding, or annotate why ordering cannot feed
+//! arithmetic.
 
 use crate::config::Config;
 use crate::context::{FileCtx, Finding};
 use std::collections::BTreeSet;
+
+/// Type names of hash collections: std's and the id-hashed aliases.
+const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "IdMap", "IdSet"];
 
 /// Methods whose results depend on hash iteration order.
 const ORDER_METHODS: [&str; 8] = [
@@ -104,14 +111,14 @@ pub fn check(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
-/// Identifiers declared in this file with a `HashMap`/`HashSet` type:
-/// `name: [std::collections::]HashMap<…>` (fields, params, annotated
-/// lets) and `[let [mut]] name = HashMap::new()/with_capacity()`.
+/// Identifiers declared in this file with a [`HASH_TYPES`] type:
+/// `name: [path::]HashMap<…>` (fields, params, annotated lets) and
+/// `[let [mut]] name = IdMap::default()`-style constructions.
 fn hash_typed_names(ctx: &FileCtx) -> BTreeSet<String> {
     let toks = &ctx.tokens;
     let mut names = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
+        if !t.ident().is_some_and(|id| HASH_TYPES.contains(&id)) {
             continue;
         }
         // Walk back over an optional `std :: collections ::` path.

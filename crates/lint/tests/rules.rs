@@ -82,6 +82,28 @@ fn determinism_suppressed() {
 }
 
 #[test]
+fn determinism_fires_on_id_maps() {
+    let findings = run(
+        "determinism",
+        "crates/core/src/walker/fixture.rs",
+        include_str!("fixtures/determinism_idmap_fire.rs"),
+    );
+    // `.values()` on an `IdMap` field and a `for` loop over an `IdSet`
+    // binding; the `.get()` point lookup stays silent.
+    assert_eq!(findings.len(), 2, "{findings:?}");
+}
+
+#[test]
+fn determinism_suppressed_on_id_maps() {
+    let findings = run(
+        "determinism",
+        "crates/core/src/walker/fixture.rs",
+        include_str!("fixtures/determinism_idmap_suppressed.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn charging_fires() {
     let findings = run(
         "charging",

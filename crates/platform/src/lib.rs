@@ -55,6 +55,9 @@ pub use crash::{
 pub use fault::{ApiEndpoint, Fault, FaultCounts, FaultPlan, FaultRates, FaultyPlatform};
 pub use ids::{KeywordId, PostId, UserId};
 pub use metric::UserMetric;
+/// Id-keyed hash collections, re-exported so crates above the platform
+/// use one hasher without depending on `microblog-graph` directly.
+pub use microblog_graph::{IdMap, IdSet};
 pub use platform::{Platform, PlatformBuilder};
 pub use post::Post;
 pub use slow::SlowBackend;

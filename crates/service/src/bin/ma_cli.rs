@@ -34,7 +34,8 @@
 //!                                       on startup to recover in-flight
 //!                                       jobs                  [off]
 //!   --checkpoint-every N                walker steps between checkpoints,
-//!                                       0 disables            [1000]
+//!                                       0 disables; only with --journal
+//!                                       or --crash-plan       [1000]
 //!   --drain-timeout SECS                shutdown drain deadline; stragglers
 //!                                       are journaled as interrupted [none]
 //!   --crash-plan SPEC                   deterministic crash injection, e.g.

@@ -110,8 +110,10 @@ pub struct ServiceConfig {
     /// their latest checkpoint.
     pub journal: Option<PathBuf>,
     /// Walker steps between checkpoints (0 disables checkpointing).
-    /// Checkpoints flow to the journal (when configured) and to the
-    /// in-memory slot crash requeues resume from.
+    /// Takes effect only with a `journal` or a `crash_plan`: checkpoints
+    /// then flow to the journal (when configured) and to the in-memory
+    /// slot crash requeues resume from. Without either nothing can resume
+    /// from a checkpoint, so none is captured.
     pub checkpoint_every: u64,
     /// Deterministic crash injection: kill a worker (or tear the
     /// journal tail) at a named crashpoint. The chaos knob behind
