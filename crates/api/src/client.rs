@@ -355,9 +355,19 @@ pub struct CachingClient<'a> {
     prefetch: Option<&'a dyn PrefetchSink>,
     stats: CacheStats,
     /// The last [`CachingClient::checkpoint_state`] capture; the next
-    /// capture reuses its sorted key list for every memo that did not
-    /// grow.
+    /// capture merges the keys memoized since into its sorted lists.
     captured: ClientState,
+    /// Keys memoized since the last capture, per memo, in insertion
+    /// order.
+    added: AddedKeys,
+}
+
+/// Keys memoized since the last checkpoint capture.
+#[derive(Clone, Debug, Default)]
+struct AddedKeys {
+    searches: Vec<KeywordId>,
+    timelines: Vec<UserId>,
+    connections: Vec<UserId>,
 }
 
 impl std::fmt::Debug for CachingClient<'_> {
@@ -396,6 +406,7 @@ impl<'a> CachingClient<'a> {
             prefetch: None,
             stats: CacheStats::default(),
             captured: ClientState::default(),
+            added: AddedKeys::default(),
         }
     }
 
@@ -476,7 +487,7 @@ impl<'a> CachingClient<'a> {
                 .absorb_shared_hit(ApiEndpoint::Search, entry.calls)?;
             self.stats.shared_hits += 1;
             self.stats.saved_calls += entry.calls;
-            self.searches.insert(kw, Arc::clone(&entry.data));
+            self.install_search(kw, Arc::clone(&entry.data));
             return Ok(entry.data);
         }
         self.trace_cache(EventName::MISS, ApiEndpoint::Search);
@@ -504,7 +515,7 @@ impl<'a> CachingClient<'a> {
                 },
             );
         }
-        self.searches.insert(kw, Arc::clone(&fresh));
+        self.install_search(kw, Arc::clone(&fresh));
         Ok(fresh)
     }
 
@@ -525,7 +536,7 @@ impl<'a> CachingClient<'a> {
                 .absorb_shared_hit(ApiEndpoint::Timeline, entry.calls)?;
             self.stats.shared_hits += 1;
             self.stats.saved_calls += entry.calls;
-            self.timelines.insert(u, Arc::clone(&entry.data));
+            self.install_timeline(u, Arc::clone(&entry.data));
             return Ok(entry.data);
         }
         self.trace_cache(EventName::MISS, ApiEndpoint::Timeline);
@@ -551,7 +562,7 @@ impl<'a> CachingClient<'a> {
                 },
             );
         }
-        self.timelines.insert(u, Arc::clone(&fresh));
+        self.install_timeline(u, Arc::clone(&fresh));
         Ok(fresh)
     }
 
@@ -572,7 +583,7 @@ impl<'a> CachingClient<'a> {
                 .absorb_shared_hit(ApiEndpoint::Connections, entry.calls)?;
             self.stats.shared_hits += 1;
             self.stats.saved_calls += entry.calls;
-            self.connections.insert(u, Arc::clone(&entry.data));
+            self.install_connections(u, Arc::clone(&entry.data));
             return Ok(entry.data);
         }
         self.trace_cache(EventName::MISS, ApiEndpoint::Connections);
@@ -598,7 +609,7 @@ impl<'a> CachingClient<'a> {
                 },
             );
         }
-        self.connections.insert(u, Arc::clone(&fresh));
+        self.install_connections(u, Arc::clone(&fresh));
         Ok(fresh)
     }
 
@@ -696,14 +707,14 @@ impl<'a> CachingClient<'a> {
 
     /// Captures the memo keys and accounting for a walker checkpoint.
     ///
-    /// A key list is collected and sorted again only when its memo grew
-    /// since the previous capture: memos never shrink, so an unchanged
-    /// length means an unchanged key set.
+    /// Memos never shrink, so each sorted key list is the previous
+    /// capture's with the keys memoized since merged in: the capture
+    /// sorts only what is new.
     pub fn checkpoint_state(&mut self) -> ClientState {
         let state = &mut self.captured;
-        refresh_sorted(&mut state.searches, &self.searches);
-        refresh_sorted(&mut state.timelines, &self.timelines);
-        refresh_sorted(&mut state.connections, &self.connections);
+        merge_added(&mut state.searches, &mut self.added.searches);
+        merge_added(&mut state.timelines, &mut self.added.timelines);
+        merge_added(&mut state.connections, &mut self.added.connections);
         state.stats = self.stats;
         state.meter = *self.inner.client().meter();
         state.charged = self.inner.client().budget().spent();
@@ -711,19 +722,22 @@ impl<'a> CachingClient<'a> {
     }
 
     /// Installs a memoized SEARCH response without charging or touching
-    /// the shared layer (checkpoint restore only).
+    /// the shared layer: how checkpoint restore rebuilds the memo, and
+    /// the last step of a fetch.
     pub fn install_search(&mut self, kw: KeywordId, data: Arc<Vec<SearchHit>>) {
-        self.searches.insert(kw, data);
+        memoize(&mut self.searches, &mut self.added.searches, kw, data);
     }
 
-    /// Installs a memoized TIMELINE response without charging (restore).
+    /// Installs a memoized TIMELINE response without charging (restore,
+    /// and the last step of a fetch).
     pub fn install_timeline(&mut self, u: UserId, data: Arc<UserView>) {
-        self.timelines.insert(u, data);
+        memoize(&mut self.timelines, &mut self.added.timelines, u, data);
     }
 
-    /// Installs a memoized CONNECTIONS response without charging (restore).
+    /// Installs a memoized CONNECTIONS response without charging
+    /// (restore, and the last step of a fetch).
     pub fn install_connections(&mut self, u: UserId, data: Arc<Vec<UserId>>) {
-        self.connections.insert(u, data);
+        memoize(&mut self.connections, &mut self.added.connections, u, data);
     }
 
     /// Overwrites the cache stats and cost meter so a restored client
@@ -735,13 +749,37 @@ impl<'a> CachingClient<'a> {
     }
 }
 
-/// Replaces `sorted` with `memo`'s sorted keys when the lengths differ.
-fn refresh_sorted<K: Copy + Ord, V>(sorted: &mut Vec<K>, memo: &IdMap<K, V>) {
-    if sorted.len() != memo.len() {
-        sorted.clear();
-        sorted.extend(memo.keys().copied());
-        sorted.sort_unstable();
+/// Memoizes `value` under `key`, logging the key in `added` when it is
+/// new to the memo.
+fn memoize<K: Copy + Eq + std::hash::Hash, V>(
+    memo: &mut IdMap<K, V>,
+    added: &mut Vec<K>,
+    key: K,
+    value: V,
+) {
+    if memo.insert(key, value).is_none() {
+        added.push(key);
     }
+}
+
+/// Sorts `added` (keys absent from `sorted`) and merges it into the
+/// sorted list `sorted`, leaving `added` empty.
+fn merge_added<K: Copy + Ord>(sorted: &mut Vec<K>, added: &mut Vec<K>) {
+    if added.is_empty() {
+        return;
+    }
+    added.sort_unstable();
+    let mut merged = Vec::with_capacity(sorted.len() + added.len());
+    let mut old = sorted.iter().copied().peekable();
+    for &key in added.iter() {
+        while let Some(kept) = old.next_if(|&kept| kept < key) {
+            merged.push(kept);
+        }
+        merged.push(key);
+    }
+    merged.extend(old);
+    *sorted = merged;
+    added.clear();
 }
 
 #[cfg(test)]
@@ -824,6 +862,53 @@ mod tests {
         let installed = restored.checkpoint_state();
         assert_eq!(installed, collected(&restored));
         assert_eq!(keys(&installed), keys(&regrown));
+    }
+
+    #[test]
+    fn capture_after_install_and_new_fetches_equals_a_fresh_collect_and_sort() {
+        let s = twitter_2013(Scale::Tiny, 3);
+        let kw = s.keyword("privacy").expect("world has 'privacy'");
+        let mut source =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        source.search(kw).unwrap();
+        for u in [5, 1, 9, 3].map(UserId) {
+            source.user_timeline(u).unwrap();
+            source.connections(u).unwrap();
+        }
+
+        // Restore the memo, then fetch keys below, between and above the
+        // installed ones, and some installed ones again, with no capture
+        // in between.
+        let mut restored =
+            CachingClient::new(MicroblogClient::new(&s.platform, ApiProfile::twitter()));
+        for (&k, data) in &source.searches {
+            restored.install_search(k, Arc::clone(data));
+        }
+        for (&u, data) in &source.timelines {
+            restored.install_timeline(u, Arc::clone(data));
+        }
+        for (&u, data) in &source.connections {
+            restored.install_connections(u, Arc::clone(data));
+        }
+        for u in [0, 4, 12, 9, 2].map(UserId) {
+            restored.user_timeline(u).unwrap();
+        }
+        for u in [11, 3, 6].map(UserId) {
+            restored.connections(u).unwrap();
+        }
+        let first = restored.checkpoint_state();
+        assert_eq!(first, collected(&restored));
+        assert_eq!(first.timelines.len(), 8);
+        assert_eq!(first.connections.len(), 6);
+
+        // More fetches after that capture merge into its lists.
+        for u in [7, 1, 30].map(UserId) {
+            restored.user_timeline(u).unwrap();
+            restored.connections(u).unwrap();
+        }
+        let second = restored.checkpoint_state();
+        assert_eq!(second, collected(&restored));
+        assert_eq!(second.timelines.len(), 10);
     }
 
     #[test]

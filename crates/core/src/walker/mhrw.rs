@@ -161,7 +161,7 @@ impl<'p> Sampler<'p> for Mhrw<'_, 'p> {
         self.graph.client_mut()
     }
 
-    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+    fn snapshot(&mut self) -> Option<(u64, SamplerState)> {
         let state = MhrwState {
             current: self.current,
             step: self.step as u64,

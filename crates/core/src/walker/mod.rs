@@ -51,8 +51,9 @@ pub(crate) trait Sampler<'p> {
 
     /// The resumable state at a safe point: a progress marker for logs
     /// and the sampler's [`SamplerState`]; `None` when it cannot be
-    /// captured.
-    fn snapshot(&self) -> Option<(u64, SamplerState)>;
+    /// captured. Mutable so capture can carry work over from the
+    /// previous snapshot (see [`CollisionCounter::snapshot`]).
+    fn snapshot(&mut self) -> Option<(u64, SamplerState)>;
 
     /// Advances the walk by one step. A walk-ending API error
     /// ([`microblog_api::ApiError::ends_walk`]) ends the walk like
@@ -231,7 +232,7 @@ impl SampleAccumulator {
 
     /// Serializes the accumulator for a walker checkpoint (floats as
     /// raw bits so resume is bit-identical).
-    pub(crate) fn snapshot(&self) -> crate::checkpoint::AccumState {
+    pub(crate) fn snapshot(&mut self) -> crate::checkpoint::AccumState {
         crate::checkpoint::AccumState {
             s0_bits: self.s0.to_bits(),
             s_match_bits: self.s_match.to_bits(),

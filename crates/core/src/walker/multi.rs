@@ -192,10 +192,10 @@ impl<'p> Sampler<'p> for MultiSrw<'_, 'p> {
         self.walk.graph.client_mut()
     }
 
-    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+    fn snapshot(&mut self) -> Option<(u64, SamplerState)> {
         let mut total = 0u64;
         let mut chains = Vec::with_capacity(self.chains.len());
-        for c in &self.chains {
+        for c in &mut self.chains {
             total += c.walk.total_steps as u64;
             chains.push(MultiChainState {
                 rng: c.rng.rng_state()?,

@@ -157,7 +157,7 @@ impl<'p> Sampler<'p> for Snowball<'_, 'p> {
         self.graph.client_mut()
     }
 
-    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+    fn snapshot(&mut self) -> Option<(u64, SamplerState)> {
         // ma-lint: allow(determinism) reason="collected then sorted on the next line; hash order cannot reach the checkpoint bytes"
         let mut visited: Vec<UserId> = self.visited.iter().copied().collect();
         visited.sort_unstable_by_key(|u| u.0);

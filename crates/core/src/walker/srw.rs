@@ -152,7 +152,7 @@ impl SrwChain {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> SrwState {
+    pub(crate) fn snapshot(&mut self) -> SrwState {
         SrwState {
             current: self.current,
             step_in_chain: self.step_in_chain as u64,
@@ -318,7 +318,7 @@ impl<'p> Sampler<'p> for Srw<'_, 'p> {
         self.walk.graph.client_mut()
     }
 
-    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+    fn snapshot(&mut self) -> Option<(u64, SamplerState)> {
         let state = self.chain.snapshot();
         Some((state.total_steps, SamplerState::Srw(state)))
     }

@@ -261,7 +261,7 @@ impl<'p> Sampler<'p> for Tarw<'_, 'p> {
         self.graph.client_mut()
     }
 
-    fn snapshot(&self) -> Option<(u64, SamplerState)> {
+    fn snapshot(&mut self) -> Option<(u64, SamplerState)> {
         Some(match &self.pilots {
             Some(pilots) => (pilots.scored() as u64, SamplerState::Pilot(pilots.state())),
             None => (

@@ -16,6 +16,7 @@
 
 use crate::{IdMap, NodeId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Serializable snapshot of a [`CollisionCounter`], used by walker
 /// checkpoints. Floating sums are stored as raw IEEE-754 bits so a
@@ -38,9 +39,20 @@ pub struct CollisionState {
 ///
 /// Feed it `(node, degree)` samples from a simple random walk (after
 /// burn-in and thinning); read the size estimate at any point.
+///
+/// Occurrence counts live in `counts`, in first-seen order, and `slots`
+/// maps each node to its entry, so a sample costs one hash probe. A
+/// [`CollisionCounter::snapshot`] lists them by node: `order` keeps that
+/// order from the previous snapshot, and the next one sorts only the
+/// nodes first seen since and merges them in.
 #[derive(Clone, Debug, Default)]
 pub struct CollisionCounter {
-    seen: IdMap<NodeId, usize>,
+    /// Each distinct node's index in `counts`.
+    slots: IdMap<NodeId, usize>,
+    /// `(node, occurrences)`, in first-seen order.
+    counts: Vec<(NodeId, u64)>,
+    /// Indices into `counts` in node order, covering `counts[..order.len()]`.
+    order: Vec<usize>,
     collisions: u64,
     sum_degree: f64,
     sum_inv_degree: f64,
@@ -59,9 +71,18 @@ impl CollisionCounter {
         if degree == 0 {
             return;
         }
-        let count = self.seen.entry(node).or_insert(0);
-        self.collisions += *count as u64;
-        *count += 1;
+        match self.slots.entry(node) {
+            Entry::Occupied(slot) => {
+                if let Some((_, count)) = self.counts.get_mut(*slot.get()) {
+                    self.collisions += *count;
+                    *count += 1;
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.counts.len());
+                self.counts.push((node, 1));
+            }
+        }
         self.sum_degree += degree as f64;
         self.sum_inv_degree += 1.0 / degree as f64;
         self.samples += 1;
@@ -79,15 +100,35 @@ impl CollisionCounter {
 
     /// Number of distinct nodes observed.
     pub fn distinct(&self) -> usize {
-        self.seen.len()
+        self.counts.len()
     }
 
-    /// Snapshots the counter for a walker checkpoint.
-    pub fn snapshot(&self) -> CollisionState {
-        let mut seen: Vec<(NodeId, u64)> = self.seen.iter().map(|(&u, &c)| (u, c as u64)).collect();
-        seen.sort_unstable();
+    /// Snapshots the counter for a walker checkpoint. Sorts only the
+    /// nodes first seen since the previous snapshot, merging them into
+    /// that snapshot's node order.
+    pub fn snapshot(&mut self) -> CollisionState {
+        let counts = &self.counts;
+        if self.order.len() < counts.len() {
+            let node = |i: usize| counts.get(i).map(|&(node, _)| node);
+            let mut added: Vec<usize> = (self.order.len()..counts.len()).collect();
+            added.sort_unstable_by_key(|&i| node(i));
+            let mut merged = Vec::with_capacity(counts.len());
+            let mut old = self.order.iter().copied().peekable();
+            for i in added {
+                while let Some(kept) = old.next_if(|&kept| node(kept) < node(i)) {
+                    merged.push(kept);
+                }
+                merged.push(i);
+            }
+            merged.extend(old);
+            self.order = merged;
+        }
         CollisionState {
-            seen,
+            seen: self
+                .order
+                .iter()
+                .filter_map(|&i| counts.get(i).copied())
+                .collect(),
             collisions: self.collisions,
             sum_degree_bits: self.sum_degree.to_bits(),
             sum_inv_degree_bits: self.sum_inv_degree.to_bits(),
@@ -99,7 +140,14 @@ impl CollisionCounter {
     /// restored counter produces bit-identical estimates.
     pub fn restore(state: &CollisionState) -> CollisionCounter {
         CollisionCounter {
-            seen: state.seen.iter().map(|&(u, c)| (u, c as usize)).collect(),
+            slots: state
+                .seen
+                .iter()
+                .enumerate()
+                .map(|(i, &(node, _))| (node, i))
+                .collect(),
+            counts: state.seen.clone(),
+            order: (0..state.seen.len()).collect(),
             collisions: state.collisions,
             sum_degree: f64::from_bits(state.sum_degree_bits),
             sum_inv_degree: f64::from_bits(state.sum_inv_degree_bits),

@@ -13,6 +13,7 @@ use microblog_graph::walk::{simple_random_walk, srw_average};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 
 /// Arbitrary small edge list over `n` nodes.
 fn edges_strategy(max_n: u32) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -179,5 +180,61 @@ proptest! {
         }
         let expected: u64 = counts.iter().map(|&c| c * (c.saturating_sub(1)) / 2).sum();
         prop_assert_eq!(c.collisions(), expected);
+    }
+
+    // `steps` are `(node, degree, snap)` pushes; `snap == 0` takes a
+    // snapshot after the push, so snapshots interleave with new nodes,
+    // repeats and ignored zero-degree samples.
+    #[test]
+    fn collision_snapshots_list_sorted_counts(
+        steps in proptest::collection::vec((0u32..60, 0usize..6, 0u8..5), 0..160)
+    ) {
+        let mut c = CollisionCounter::new();
+        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+        for &(u, d, snap) in &steps {
+            c.push(u, d);
+            if d > 0 {
+                *counts.entry(u).or_default() += 1;
+            }
+            if snap == 0 {
+                let state = c.snapshot();
+                let expected: Vec<(u32, u64)> = counts.iter().map(|(&u, &n)| (u, n)).collect();
+                prop_assert_eq!(state.seen, expected);
+                prop_assert_eq!(state.samples, counts.values().sum::<u64>());
+                prop_assert_eq!(state.collisions, c.collisions());
+            }
+        }
+        let expected: Vec<(u32, u64)> = counts.iter().map(|(&u, &n)| (u, n)).collect();
+        prop_assert_eq!(c.snapshot().seen, expected);
+    }
+
+    #[test]
+    fn collision_restore_then_push_matches_pushing_everything(
+        steps in proptest::collection::vec((0u32..60, 0usize..6, 0u8..5), 0..160)
+    ) {
+        let mut whole = CollisionCounter::new();
+        let mut cuts = Vec::new();
+        for (i, &(u, d, snap)) in steps.iter().enumerate() {
+            whole.push(u, d);
+            if snap == 0 {
+                cuts.push((i + 1, whole.snapshot()));
+            }
+        }
+        let end = whole.snapshot();
+        for (at, state) in cuts {
+            let mut resumed = CollisionCounter::restore(&state);
+            for &(u, d, snap) in &steps[at..] {
+                resumed.push(u, d);
+                if snap == 1 {
+                    resumed.snapshot();
+                }
+            }
+            prop_assert_eq!(
+                resumed.estimate().map(f64::to_bits),
+                whole.estimate().map(f64::to_bits)
+            );
+            prop_assert_eq!(resumed.distinct(), whole.distinct());
+            prop_assert_eq!(resumed.snapshot(), end.clone());
+        }
     }
 }

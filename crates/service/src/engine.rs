@@ -111,9 +111,10 @@ pub struct ServiceConfig {
     pub journal: Option<PathBuf>,
     /// Walker steps between checkpoints (0 disables checkpointing).
     /// Takes effect only with a `journal` or a `crash_plan`: checkpoints
-    /// then flow to the journal (when configured) and to the in-memory
-    /// slot crash requeues resume from. Without either nothing can resume
-    /// from a checkpoint, so none is captured.
+    /// then flow to the journal (when configured) and, with a
+    /// `crash_plan`, to the in-memory slot crash requeues resume from.
+    /// Without either nothing can resume from a checkpoint, so none is
+    /// captured.
     pub checkpoint_every: u64,
     /// Deterministic crash injection: kill a worker (or tear the
     /// journal tail) at a named crashpoint. The chaos knob behind
@@ -1144,8 +1145,8 @@ fn interrupt_job(ctx: &WorkerCtx, job: Job, reason: &str) {
 }
 
 /// The per-job checkpoint sink: journals every checkpoint, keeps the
-/// latest in memory for crash requeues, and hosts the `checkpoint`
-/// crashpoint.
+/// latest in memory for crash requeues when a crash injector is armed,
+/// and hosts the `checkpoint` crashpoint.
 struct JobSink {
     job: u64,
     journal: Option<Arc<Journal>>,
@@ -1195,7 +1196,12 @@ impl CheckpointSink for JobSink {
                 ],
             );
         }
-        *self.latest.lock().unwrap_or_else(|e| e.into_inner()) = Some(Box::new(checkpoint.clone()));
+        // Only a crash-injection panic reads the requeue slot
+        // (`take_latest`), so without an injector nothing is kept.
+        if self.injector.is_some() {
+            *self.latest.lock().unwrap_or_else(|e| e.into_inner()) =
+                Some(Box::new(checkpoint.clone()));
+        }
         // The checkpoint is durable (journaled above) before the
         // crashpoint fires, so a kill here resumes from *this*
         // checkpoint.

@@ -18,9 +18,15 @@
 //! - **Batched durability.** Appends buffer in the OS and are fsync'd in
 //!   batches: every [`SYNC_BATCH`] records, and immediately for the
 //!   records recovery correctness depends on ([`JournalRecord::Settle`],
-//!   [`JournalRecord::Interrupted`]). Each sync is stamped with a
-//!   logical-clock tick so trace timelines can order durability points
-//!   against job events.
+//!   [`JournalRecord::Interrupted`]). An append that closes a batch, or
+//!   a critical one, returns only after an fsync that started after its
+//!   own write. Frames are written under the writer lock, but the fsync
+//!   runs after the lock is released, on a second handle of the same
+//!   file (`fdatasync` flushes the file, so it covers every frame
+//!   written before it started): one worker's fsync no longer stalls the
+//!   other workers' appends, and the guarantees are unchanged. Each sync
+//!   is stamped with a logical-clock tick so trace timelines can order
+//!   durability points against job events.
 //! - **Records.** A job's lifecycle is `Admit`, `Reserve`, its walker
 //!   checkpoints, then `Settle` (or `Interrupted`). The first checkpoint
 //!   a [`Journal`] handle writes for a job is a whole
@@ -143,10 +149,14 @@ const MAX_RECORD: u32 = 64 << 20;
 /// The journal file name inside the journal directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the bytewise IEEE table
+/// (reflected polynomial `0xEDB8_8320`), and `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight table lookups
+/// advance the CRC over eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -159,19 +169,52 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        // ma-lint: allow(panic-safety) reason="const loop bounds i < 256 over a [u32; 256] table"
-        table[i] = crc;
+        // ma-lint: allow(panic-safety) reason="const loop bounds i < 256 over [u32; 256] tables"
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            // ma-lint: allow(panic-safety) reason="const loop bounds k < 8, i < 256; the inner index is masked to 0..=255"
+            let prev = tables[k - 1][i];
+            // ma-lint: allow(panic-safety) reason="const loop bounds k < 8, i < 256; the inner index is masked to 0..=255"
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// IEEE CRC-32 of `bytes` (the checksum in every record header).
+/// Table entry `k` for the low byte of `x`.
+fn crc_entry(k: usize, x: u32) -> u32 {
+    // ma-lint: allow(panic-safety) reason="callers pass k < 8; the byte index is masked to 0..=255"
+    CRC_TABLES[k][(x & 0xFF) as usize]
+}
+
+/// IEEE CRC-32 of `bytes` (the checksum in every record header),
+/// slice-by-8: eight bytes per step through [`CRC_TABLES`], then the
+/// remainder a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &b in bytes {
-        // ma-lint: allow(panic-safety) reason="index masked to 0..=255; the table has 256 entries"
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().unwrap_or_default());
+        let lo = word as u32 ^ crc;
+        let hi = (word >> 32) as u32;
+        crc = crc_entry(7, lo)
+            ^ crc_entry(6, lo >> 8)
+            ^ crc_entry(5, lo >> 16)
+            ^ crc_entry(4, lo >> 24)
+            ^ crc_entry(3, hi)
+            ^ crc_entry(2, hi >> 8)
+            ^ crc_entry(1, hi >> 16)
+            ^ crc_entry(0, hi >> 24);
+    }
+    for &b in words.remainder() {
+        crc = crc_entry(0, crc ^ b as u32) ^ (crc >> 8);
     }
     !crc
 }
@@ -388,6 +431,7 @@ fn client_delta(base: &ClientState, next: &ClientState) -> Option<ClientState> {
 struct Writer {
     file: File,
     len: u64,
+    /// Appends written since the last fsync claim.
     pending: u64,
     /// Set by crash injection tearing the tail: the stream past `len` is
     /// untrustworthy, so further appends are discarded instead of being
@@ -395,12 +439,38 @@ struct Writer {
     torn: bool,
 }
 
+/// What one fsync covers: the file length it makes durable and the
+/// appends it took off [`Writer::pending`].
+struct Claim {
+    len: u64,
+    appends: u64,
+}
+
+impl Writer {
+    /// Claims every append written so far for the caller's fsync.
+    fn claim(&mut self) -> Claim {
+        Claim {
+            len: self.len,
+            appends: std::mem::take(&mut self.pending),
+        }
+    }
+}
+
 /// The append side of the write-ahead journal. Thread-safe: workers
-/// append concurrently under one mutex; the file is the only shared
-/// state.
+/// write whole frames under one mutex and fsync through a second handle
+/// after releasing it; the file is the only shared state.
 pub struct Journal {
     path: PathBuf,
     writer: Mutex<Writer>,
+    /// A second handle on the journal file, fsynced outside the writer
+    /// lock: `fdatasync` flushes the file, not the handle, so it covers
+    /// every frame written through `writer` before it started.
+    syncer: File,
+    /// The longest file prefix a completed fsync covered. Stored with
+    /// `Release` after the fsync returns and loaded with `Acquire` by
+    /// [`Journal::sync`], which skips its fsync only when a completed
+    /// one already covers every append.
+    synced_len: AtomicU64,
     clock: Arc<TelemetryClock>,
     appended: AtomicU64,
     syncs: AtomicU64,
@@ -434,8 +504,11 @@ impl Journal {
         }
         file.seek(SeekFrom::Start(decoded.valid_len))?;
         let summary = replay(&decoded);
+        let syncer = file.try_clone()?;
         let journal = Journal {
             path,
+            syncer,
+            synced_len: AtomicU64::new(decoded.valid_len),
             writer: Mutex::new(Writer {
                 file,
                 len: decoded.valid_len,
@@ -513,7 +586,10 @@ impl Journal {
     }
 
     /// Frames and writes one record; `Ok(false)` when a torn tail made
-    /// it a dropped append.
+    /// it a dropped append. A record that closes a sync batch, or a
+    /// critical one, is fsynced before this returns, by an fsync that
+    /// starts after the write; the fsync runs after the writer lock is
+    /// released, so other workers' appends are not stalled behind it.
     fn write(&self, record: &JournalRecord) -> io::Result<bool> {
         let payload = serde_json::to_string(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -522,49 +598,64 @@ impl Journal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        // Crash injection poisons this mutex when it kills a worker
-        // mid-append path; the inner state is still consistent (writes
-        // are whole-frame), so recover the guard rather than propagate.
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if writer.torn {
-            self.dropped_appends.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
-        }
-        writer.file.write_all(&frame)?;
-        writer.len += frame.len() as u64;
-        writer.pending += 1;
-        self.appended.fetch_add(1, Ordering::Relaxed);
-        if record.is_critical() || writer.pending >= SYNC_BATCH {
-            self.sync_locked(&mut writer)?;
+        let claim = {
+            let mut writer = self.writer();
+            if writer.torn {
+                self.dropped_appends.fetch_add(1, Ordering::Relaxed);
+                return Ok(false);
+            }
+            writer.file.write_all(&frame)?;
+            writer.len += frame.len() as u64;
+            writer.pending += 1;
+            self.appended.fetch_add(1, Ordering::Relaxed);
+            (record.is_critical() || writer.pending >= SYNC_BATCH).then(|| writer.claim())
+        };
+        if let Some(claim) = claim {
+            self.fsync(claim)?;
         }
         Ok(true)
     }
 
-    /// Forces an fsync of everything appended so far.
+    /// Forces an fsync of everything appended so far, unless a completed
+    /// fsync already covered it.
     pub fn sync(&self) -> io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if writer.pending > 0 {
-            self.sync_locked(&mut writer)?;
+        let claim = self.writer().claim();
+        if self.synced_len.load(Ordering::Acquire) >= claim.len {
+            return Ok(());
         }
+        self.fsync(claim)
+    }
+
+    /// Fsyncs `claim` through the second handle, outside the writer
+    /// lock. A failed fsync hands the claimed appends back, so the next
+    /// append retries it.
+    fn fsync(&self, claim: Claim) -> io::Result<()> {
+        if let Err(e) = self.syncer.sync_data() {
+            self.writer().pending += claim.appends;
+            return Err(e);
+        }
+        self.synced_len.fetch_max(claim.len, Ordering::Release);
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        // Stamp the durability point on the logical clock so traces can
+        // order it against job events. Concurrent fsyncs can finish in
+        // either order; the stamp only moves forward.
+        self.last_sync_tick
+            .fetch_max(self.clock.now().as_micros() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    fn sync_locked(&self, writer: &mut Writer) -> io::Result<()> {
-        writer.file.sync_data()?;
-        writer.pending = 0;
-        self.syncs.fetch_add(1, Ordering::Relaxed);
-        // Stamp the durability point on the logical clock so traces can
-        // order it against job events.
-        self.last_sync_tick
-            .store(self.clock.now().as_micros() as u64, Ordering::Relaxed);
-        Ok(())
+    fn writer(&self) -> std::sync::MutexGuard<'_, Writer> {
+        // Crash injection poisons this mutex when it kills a worker
+        // mid-append path; the inner state is still consistent (writes
+        // are whole-frame), so recover the guard rather than propagate.
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Crash injection: tears `drop` bytes off the journal tail,
     /// simulating a crash mid-append. Subsequent appends are discarded
     /// (and counted) until the journal is reopened and repaired.
     pub fn truncate_tail(&self, drop: u64) -> io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut writer = self.writer();
         writer.len = writer.len.saturating_sub(drop);
         writer.file.set_len(writer.len)?;
         writer.file.sync_data()?;
@@ -577,7 +668,7 @@ impl Journal {
         self.appended.load(Ordering::Relaxed)
     }
 
-    /// Fsync batches flushed.
+    /// Fsyncs performed (batches, critical records and forced syncs).
     pub fn syncs(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
     }
@@ -815,5 +906,140 @@ mod tests {
         // The canonical CRC-32/ISO-HDLC check: crc32(b"123456789").
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 loop slice-by-8 replaced, kept as the
+    /// reference it must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_offset() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let buffer: Vec<u8> = (0..4_096)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        // Every length up to 64 at every offset covers each remainder
+        // length after every number of whole eight-byte words, at every
+        // alignment.
+        for offset in 0..buffer.len() {
+            let rest = &buffer[offset..];
+            for len in 0..=rest.len().min(64) {
+                let bytes = &rest[..len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&buffer), crc32_bytewise(&buffer));
+    }
+
+    /// A checkpoint of `job` whose `steps` is its sequence number and
+    /// whose timeline keys grow with it, so later ones are deltas.
+    fn numbered_checkpoint(job: u64, seq: u64) -> WalkerCheckpoint {
+        WalkerCheckpoint {
+            algorithm: "MA-SRW".to_string(),
+            seed: job,
+            steps: seq,
+            rng: microblog_analyzer::RngState::default(),
+            client: ClientState {
+                timelines: (0..=seq as u32).map(microblog_platform::UserId).collect(),
+                ..ClientState::default()
+            },
+            sampler: microblog_analyzer::SamplerState::Pilot(
+                microblog_analyzer::checkpoint::PilotState::default(),
+            ),
+        }
+    }
+
+    #[test]
+    fn concurrent_appends_stay_whole_ordered_and_synced() {
+        const THREADS: u64 = 3;
+        const JOBS: u64 = 4;
+        const CHECKPOINTS: u64 = 40;
+        let dir = tempdir("concurrent");
+        let (journal, _) = Journal::open(&dir, clock()).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // The writers start together, so their appends and fsyncs overlap.
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut last = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let tick = journal.last_sync_tick();
+                    assert!(tick >= last, "last_sync_tick went back: {last} -> {tick}");
+                    last = tick;
+                    std::thread::yield_now();
+                }
+            });
+            let writers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (journal, start) = (&journal, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for job in (0..JOBS).map(|j| t * JOBS + j) {
+                            for seq in 0..CHECKPOINTS {
+                                journal
+                                    .append_checkpoint(job, &numbered_checkpoint(job, seq))
+                                    .unwrap();
+                            }
+                            journal
+                                .append(&JournalRecord::Settle { job, used: job })
+                                .unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            watcher.join().unwrap();
+        });
+        let settles = THREADS * JOBS;
+        let total = settles * (CHECKPOINTS + 1);
+        assert_eq!(journal.appended(), total);
+        assert!(journal.syncs() >= settles, "{} syncs", journal.syncs());
+        drop(journal);
+
+        let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let decoded = decode_records(&bytes);
+        assert_eq!(decoded.dropped_bytes, 0, "every frame is whole");
+        assert_eq!(decoded.records.len() as u64, total);
+        let mut next: HashMap<u64, u64> = HashMap::new();
+        for record in &decoded.records {
+            let seq = next.entry(record.job()).or_default();
+            match record {
+                JournalRecord::Checkpoint { checkpoint: cp, .. }
+                | JournalRecord::CheckpointDelta { delta: cp, .. } => {
+                    assert_eq!(cp.steps, *seq, "job {} out of order", record.job());
+                    assert_eq!(
+                        matches!(record, JournalRecord::Checkpoint { .. }),
+                        *seq == 0,
+                        "only a job's first checkpoint is whole"
+                    );
+                }
+                JournalRecord::Settle { .. } => assert_eq!(*seq, CHECKPOINTS, "settle comes last"),
+                other => panic!("unexpected record {other:?}"),
+            }
+            *seq += 1;
+        }
+        assert_eq!(next.len() as u64, settles);
+        let summary = replay(&decoded);
+        assert_eq!(summary.settled_jobs, settles);
+        assert!(summary.recovered.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
