@@ -24,6 +24,7 @@
 
 use crate::client::{SearchHit, UserView};
 use crate::meter::CostMeter;
+use crate::sched::FetchKey;
 use microblog_obs::{EventName, FieldValue, Tracer};
 use microblog_platform::{ApiEndpoint, KeywordId, UserId};
 use parking_lot::{Condvar, Mutex};
@@ -106,6 +107,14 @@ pub trait CacheLayer: Send + Sync {
     }
     /// Releases a USER CONNECTIONS flight whose fetch failed.
     fn abort_connections(&self, _u: UserId) {}
+
+    /// Whether the layer holds a response for `key` right now, without
+    /// counting a lookup or refreshing the entry: a client does not
+    /// announce a prefetch the layer would answer. The default, `false`,
+    /// keeps every key announced.
+    fn holds(&self, _key: FetchKey) -> bool {
+        false
+    }
 }
 
 // Allows wrapping combinators over `Arc`-shared layers (the service keeps
@@ -146,6 +155,9 @@ impl<L: CacheLayer + ?Sized> CacheLayer for Arc<L> {
     }
     fn abort_connections(&self, u: UserId) {
         (**self).abort_connections(u);
+    }
+    fn holds(&self, key: FetchKey) -> bool {
+        (**self).holds(key)
     }
 }
 
@@ -493,10 +505,13 @@ impl<L: CacheLayer> CacheLayer for CoalescingLayer<L> {
             self.trace(EventName::ABORT, ApiEndpoint::Connections);
         }
     }
+    fn holds(&self, key: FetchKey) -> bool {
+        self.inner.holds(key)
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -531,9 +546,10 @@ mod tests {
         assert!(text.contains("7 calls issued"));
     }
 
-    /// Minimal in-memory layer for exercising the combinator.
+    /// Minimal in-memory layer for exercising the combinator and the
+    /// client's announce filter.
     #[derive(Default)]
-    struct MapLayer {
+    pub(crate) struct MapLayer {
         searches: Mutex<HashMap<KeywordId, CachedSearch>>,
         timelines: Mutex<HashMap<UserId, CachedTimeline>>,
         connections: Mutex<HashMap<UserId, CachedConnections>>,
@@ -558,6 +574,28 @@ mod tests {
         fn put_connections(&self, u: UserId, entry: CachedConnections) {
             self.connections.lock().insert(u, entry);
         }
+        fn holds(&self, key: FetchKey) -> bool {
+            match key {
+                FetchKey::Timeline(u) => self.timelines.lock().contains_key(&u),
+                FetchKey::Connections(u) => self.connections.lock().contains_key(&u),
+            }
+        }
+    }
+
+    #[test]
+    fn holds_forwards_through_arc_and_coalescer() {
+        let layer = CoalescingLayer::new(Arc::new(MapLayer::default()));
+        let u = UserId(7);
+        layer.put_connections(
+            u,
+            Cached {
+                data: Arc::new(vec![UserId(1)]),
+                calls: 1,
+            },
+        );
+        assert!(layer.holds(FetchKey::Connections(u)));
+        assert!(!layer.holds(FetchKey::Timeline(u)));
+        assert_eq!(layer.stats(), CoalesceStats::default(), "no flight joined");
     }
 
     #[test]

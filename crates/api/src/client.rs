@@ -658,8 +658,10 @@ impl<'a> CachingClient<'a> {
     }
 
     /// Announces that the timelines of `users` are about to be needed.
-    /// Users already memoized are skipped; with no sink attached this is
-    /// a no-op, so callers can announce unconditionally.
+    /// Users already memoized are skipped, and so are users the shared
+    /// layer holds (the fetch path answers those without the backend);
+    /// with no sink attached this is a no-op, so callers can announce
+    /// unconditionally.
     pub fn announce_timelines(&mut self, users: &[UserId]) {
         let Some(sink) = self.prefetch else { return };
         let keys: Vec<FetchKey> = users
@@ -667,11 +669,7 @@ impl<'a> CachingClient<'a> {
             .filter(|u| !self.timelines.contains_key(u))
             .map(|&u| FetchKey::Timeline(u))
             .collect();
-        if keys.is_empty() {
-            return;
-        }
-        self.trace_sched(EventName::ANNOUNCE, Some(ApiEndpoint::Timeline), keys.len());
-        sink.announce(&keys);
+        self.announce(sink, ApiEndpoint::Timeline, keys);
     }
 
     /// Announces that the connections of `users` are about to be needed.
@@ -683,15 +681,24 @@ impl<'a> CachingClient<'a> {
             .filter(|u| !self.connections.contains_key(u))
             .map(|&u| FetchKey::Connections(u))
             .collect();
+        self.announce(sink, ApiEndpoint::Connections, keys);
+    }
+
+    /// Traces the memo-filtered `keys`, then forwards those the shared
+    /// layer does not hold. The event counts only what the job's own
+    /// fetch history decides, so a trace does not depend on what other
+    /// jobs have put in the shared layer.
+    fn announce(&self, sink: &dyn PrefetchSink, endpoint: ApiEndpoint, mut keys: Vec<FetchKey>) {
         if keys.is_empty() {
             return;
         }
-        self.trace_sched(
-            EventName::ANNOUNCE,
-            Some(ApiEndpoint::Connections),
-            keys.len(),
-        );
-        sink.announce(&keys);
+        self.trace_sched(EventName::ANNOUNCE, Some(endpoint), keys.len());
+        if let Some(layer) = &self.shared {
+            keys.retain(|&key| !layer.holds(key));
+        }
+        if !keys.is_empty() {
+            sink.announce(&keys);
+        }
     }
 
     /// Waits until no announced fetch is queued or in flight — the quiet
@@ -785,7 +792,10 @@ fn merge_added<K: Copy + Ord>(sorted: &mut Vec<K>, added: &mut Vec<K>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::MapLayer;
+    use microblog_obs::{RingRecorder, TelemetryClock, TelemetryMode};
     use microblog_platform::scenario::{twitter_2013, Scale};
+    use std::sync::Mutex;
 
     /// A fresh collect-and-sort capture: what `checkpoint_state` must
     /// equal whether or not it reused its sorted lists.
@@ -909,6 +919,78 @@ mod tests {
         let second = restored.checkpoint_state();
         assert_eq!(second, collected(&restored));
         assert_eq!(second.timelines.len(), 10);
+    }
+
+    /// Prefetch sink recording every key it is sent.
+    #[derive(Default)]
+    struct RecordKeys(Mutex<Vec<FetchKey>>);
+
+    impl PrefetchSink for RecordKeys {
+        fn announce(&self, keys: &[FetchKey]) -> usize {
+            self.0.lock().unwrap().extend_from_slice(keys);
+            keys.len()
+        }
+        fn drain(&self) -> usize {
+            0
+        }
+        fn reset(&self) -> Vec<FetchKey> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn announce_skips_keys_the_shared_layer_holds_but_traces_them() {
+        let s = twitter_2013(Scale::Tiny, 3);
+        let shared: Arc<dyn CacheLayer> = Arc::new(MapLayer::default());
+        // Another job has put users 0..3 in the shared layer.
+        let mut other = CachingClient::with_shared(
+            MicroblogClient::new(&s.platform, ApiProfile::twitter()),
+            Arc::clone(&shared),
+        );
+        for u in (0..3).map(UserId) {
+            other.user_timeline(u).unwrap();
+            other.connections(u).unwrap();
+        }
+        let recorder = Arc::new(RingRecorder::default());
+        let clock = Arc::new(TelemetryClock::new(TelemetryMode::Logical));
+        let sink = RecordKeys::default();
+        let mut client = CachingClient::with_shared(
+            MicroblogClient::new(&s.platform, ApiProfile::twitter())
+                .with_tracer(Tracer::new(recorder.clone(), clock)),
+            shared,
+        )
+        .with_prefetch(&sink);
+        // Memoized here: neither counted nor sent.
+        client.user_timeline(UserId(5)).unwrap();
+        recorder.drain();
+
+        let users: Vec<UserId> = (0..6).map(UserId).collect();
+        client.announce_timelines(&users);
+        client.announce_connections(&users);
+        let sent = sink.0.lock().unwrap().clone();
+        assert_eq!(
+            sent,
+            [
+                FetchKey::Timeline(UserId(3)),
+                FetchKey::Timeline(UserId(4)),
+                FetchKey::Connections(UserId(3)),
+                FetchKey::Connections(UserId(4)),
+                FetchKey::Connections(UserId(5)),
+            ]
+        );
+        // The events count every key not memoized, held or not.
+        let counts: Vec<Option<u64>> = recorder
+            .drain()
+            .iter()
+            .filter(|e| e.name == "announce")
+            .map(|e| e.u64_field("count"))
+            .collect();
+        assert_eq!(counts, [Some(5), Some(6)]);
+
+        // A fully held batch still traces and sends nothing.
+        client.announce_timelines(&users[..3]);
+        assert_eq!(sink.0.lock().unwrap().len(), 5);
+        assert_eq!(recorder.drain().len(), 1);
     }
 
     #[test]

@@ -21,17 +21,20 @@
 //!
 //! # Determinism invariant
 //!
-//! The scheduler changes **when** backend calls happen, never **whether**
-//! or **how many**. Each announced key is fetched exactly once by exactly
-//! one thread (prefetcher or consumer — the queue and slot maps are
-//! guarded by one lock, so the transfer of responsibility is atomic), and
-//! a consumed result leaves the slot map, so a retry after a buffered
-//! fault goes straight through to the backend as the next attempt —
-//! exactly the sequence a sequential run would produce against a
-//! deterministic [`microblog_platform::FaultyPlatform`]. Keys that are
-//! announced but never consumed (a walk that errors out mid-expansion)
-//! are returned by [`PrefetchSink::reset`] so the caller can roll their
-//! speculative attempts back out of the fault schedule.
+//! For every call a walk consumes, and so is charged for, the scheduler
+//! changes **when** it happens, never **whether** or **how many**. Each
+//! announced key is fetched at most once, by exactly one thread
+//! (prefetcher or consumer — the queue and slot maps are guarded by one
+//! lock, so the transfer of responsibility is atomic), and a consumed
+//! result leaves the slot map, so a retry after a buffered fault goes
+//! straight through to the backend as the next attempt — exactly the
+//! sequence a sequential run would produce against a deterministic
+//! [`microblog_platform::FaultyPlatform`]. A key announced but never
+//! consumed (a walk that errors out mid-expansion, or a job that ends
+//! first) is either dropped from the queue unfetched or, if a
+//! prefetcher already fetched it, returned by [`PrefetchSink::reset`]
+//! so the caller can roll its speculative attempt back out of the fault
+//! schedule.
 //!
 //! Scheduler *threads* never emit trace events — they feed the
 //! [`SchedCounters`] atomics only. The deterministic `announce`/`drain`
@@ -121,8 +124,10 @@ impl Default for InflightPolicy {
     }
 }
 
-/// Shared atomic telemetry of one scheduler. Owned by an `Arc` so the
-/// service can keep reading gauges after a job's scheduler is gone.
+/// Shared atomic telemetry of one or more schedulers (the service gives
+/// every worker's scheduler the same handle). Owned by an `Arc` so the
+/// service can keep reading gauges after a job's scheduler is gone. The
+/// counts are sums over the schedulers; `peak_inflight` is a maximum.
 #[derive(Debug, Default)]
 pub struct SchedCounters {
     /// Keys accepted into the prefetch queue.
@@ -135,9 +140,13 @@ pub struct SchedCounters {
     pub waits: AtomicU64,
     /// Queued keys the consumer claimed and fetched inline.
     pub claimed: AtomicU64,
-    /// Announced keys never consumed (rolled back at reset).
+    /// Keys a prefetcher fetched but no consumer took before reset
+    /// (their attempts are rolled back). Keys reset drops from the queue
+    /// were never fetched and are not counted.
     pub stranded: AtomicU64,
-    /// Deepest observed number of simultaneous prefetch calls.
+    /// The deepest any one scheduler's prefetch calls went: each
+    /// scheduler keeps its own in-flight gauge and `fetch_max`es it in,
+    /// so schedulers sharing these counters do not add up.
     pub peak_inflight: AtomicU64,
 }
 
@@ -169,9 +178,9 @@ pub struct SchedStats {
     pub waits: u64,
     /// Queued keys the consumer claimed and fetched inline.
     pub claimed: u64,
-    /// Announced keys never consumed (rolled back at reset).
+    /// Fetched-but-unconsumed keys returned by reset.
     pub stranded: u64,
-    /// Deepest observed number of simultaneous prefetch calls.
+    /// The deepest any one scheduler's prefetch calls went.
     pub peak_inflight: u64,
 }
 
@@ -190,9 +199,10 @@ pub trait PrefetchSink: Sync {
     /// captured client state never races a half-done prefetch.
     fn drain(&self) -> usize;
 
-    /// Discards all queued work and buffered results, returning the keys
-    /// whose backend fetch actually happened but was never consumed —
-    /// sorted, so callers can roll the speculative attempts back out of a
+    /// Drops every queued key unfetched, waits for calls in flight, then
+    /// discards the buffered results, returning the keys whose backend
+    /// fetch actually happened but was never consumed — sorted, so
+    /// callers can roll the speculative attempts back out of a
     /// deterministic fault schedule.
     fn reset(&self) -> Vec<FetchKey>;
 }
@@ -218,7 +228,7 @@ struct Inner<'p> {
     queued: HashSet<FetchKey>,
     /// In-flight markers and completed-but-unconsumed results.
     slots: HashMap<FetchKey, SlotState<'p>>,
-    /// Set once; prefetchers exit when the queue runs dry afterwards.
+    /// Set once; a prefetcher then exits instead of taking another key.
     closed: bool,
 }
 
@@ -281,8 +291,9 @@ impl<'p> FetchScheduler<'p> {
     }
 
     /// Marks the scheduler closed and wakes every parked thread.
-    /// Prefetchers finish the call they are on, then exit; queued keys
-    /// stay queued for [`PrefetchSink::reset`] to account.
+    /// Prefetchers finish the call they are on, then exit; keys still
+    /// queued are never fetched (a consumer that asks for one fetches it
+    /// inline).
     pub fn close(&self) {
         self.lock().closed = true;
         self.work.notify_all();
@@ -297,13 +308,13 @@ impl<'p> FetchScheduler<'p> {
             let key = {
                 let mut inner = self.lock();
                 loop {
+                    if inner.closed {
+                        return;
+                    }
                     if let Some(key) = inner.queue.pop_front() {
                         inner.queued.remove(&key);
                         inner.slots.insert(key, SlotState::InFlight);
                         break key;
-                    }
-                    if inner.closed {
-                        return;
                     }
                     inner = self.work.wait(inner).unwrap_or_else(|e| e.into_inner());
                 }
@@ -386,7 +397,11 @@ impl PrefetchSink for FetchScheduler<'_> {
             self.counters
                 .announced
                 .fetch_add(added as u64, Ordering::Relaxed);
-            self.work.notify_all();
+            // One parked prefetcher per new key; a busy one pops what is
+            // left when its call lands.
+            for _ in 0..added {
+                self.work.notify_one();
+            }
         }
         added
     }
@@ -400,14 +415,17 @@ impl PrefetchSink for FetchScheduler<'_> {
     }
 
     fn reset(&self) -> Vec<FetchKey> {
-        // Let in-flight calls land first so every speculative backend
-        // attempt is visible (and therefore reversible) at reset time.
+        // A queued key never reached the backend, so there is nothing to
+        // roll back: drop the queue first, so no prefetcher takes a new
+        // key while the calls in flight land. Those must land before the
+        // buffers are read, so every speculative backend attempt is
+        // visible (and therefore reversible) at reset time.
         let mut inner = self.lock();
+        inner.queue.clear();
+        inner.queued.clear();
         while inner.inflight() > 0 {
             inner = self.done.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
-        inner.queue.clear();
-        inner.queued.clear();
         let mut stranded: Vec<FetchKey> = inner.slots.drain().map(|(k, _)| k).collect();
         drop(inner);
         stranded.sort_unstable();
@@ -473,6 +491,114 @@ mod tests {
             }
             body(&sched)
         })
+    }
+
+    /// A backend whose every timeline or connections call records its
+    /// key, then blocks until the test opens the gate.
+    #[derive(Debug)]
+    struct Gated {
+        platform: Platform,
+        /// The keys called so far, and whether the gate is open.
+        state: Mutex<(Vec<FetchKey>, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gated {
+        fn new(platform: Platform) -> Self {
+            Gated {
+                platform,
+                state: Mutex::new((Vec::new(), false)),
+                changed: Condvar::new(),
+            }
+        }
+
+        fn pass(&self, key: FetchKey) {
+            let mut state = self.state.lock().unwrap();
+            state.0.push(key);
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+
+        fn calls(&self) -> Vec<FetchKey> {
+            self.state.lock().unwrap().0.clone()
+        }
+
+        /// Waits until `ready` holds, re-checking at least every 10 ms
+        /// for about 5 s; returns whether it held.
+        fn wait_for(&self, ready: impl Fn(&[FetchKey]) -> bool) -> bool {
+            let mut state = self.state.lock().unwrap();
+            for _ in 0..500 {
+                if ready(&state.0) {
+                    return true;
+                }
+                let tick = std::time::Duration::from_millis(10);
+                state = self.changed.wait_timeout(state, tick).unwrap().0;
+            }
+            ready(&state.0)
+        }
+    }
+
+    impl ApiBackend for Gated {
+        fn store(&self) -> &Platform {
+            &self.platform
+        }
+        fn fetch_search(&self, kw: KeywordId, window: TimeWindow) -> Result<Vec<PostId>, Fault> {
+            self.platform.fetch_search(kw, window)
+        }
+        fn fetch_timeline(&self, u: UserId) -> Result<&[PostId], Fault> {
+            self.pass(FetchKey::Timeline(u));
+            self.platform.fetch_timeline(u)
+        }
+        fn fetch_connections(&self, u: UserId) -> Result<(&[u32], &[u32]), Fault> {
+            self.pass(FetchKey::Connections(u));
+            self.platform.fetch_connections(u)
+        }
+    }
+
+    fn three_timelines() -> Vec<FetchKey> {
+        (0..3).map(|i| FetchKey::Timeline(UserId(i))).collect()
+    }
+
+    #[test]
+    fn reset_drops_queued_keys_without_fetching_them() {
+        let gated = Gated::new(twitter_2013(Scale::Tiny, 9).platform);
+        let keys = three_timelines();
+        let (emptied, stranded) = with_sched(&gated, 1, |sched| {
+            assert_eq!(sched.announce(&keys), 3);
+            // The one prefetcher holds the first key at the gate.
+            assert!(gated.wait_for(|calls| calls.len() == 1));
+            std::thread::scope(|scope| {
+                let reset = scope.spawn(|| sched.reset());
+                let emptied = gated.wait_for(|_| sched.lock().queue.is_empty());
+                gated.open();
+                (emptied, reset.join().expect("reset thread"))
+            })
+        });
+        assert!(emptied, "reset left the queued keys to the prefetcher");
+        assert_eq!(stranded, vec![keys[0]], "only the fetched key strands");
+        assert_eq!(gated.calls(), vec![keys[0]]);
+    }
+
+    #[test]
+    fn closed_prefetchers_fetch_nothing_more() {
+        let gated = Gated::new(twitter_2013(Scale::Tiny, 9).platform);
+        let keys = three_timelines();
+        with_sched(&gated, 1, |sched| {
+            sched.announce(&keys);
+            assert!(gated.wait_for(|calls| calls.len() == 1));
+            sched.close();
+            gated.open();
+        });
+        // The scope joined the prefetcher: it finished its call and left
+        // the other two keys queued.
+        assert_eq!(gated.calls(), vec![keys[0]]);
     }
 
     #[test]

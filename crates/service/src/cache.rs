@@ -17,6 +17,7 @@ use crate::lru::LruCache;
 use microblog_api::cache::{
     CacheLayer, CachedConnections, CachedSearch, CachedTimeline, CoalescingLayer,
 };
+use microblog_api::FetchKey;
 use microblog_obs::{EventName, FieldValue, Tracer};
 use microblog_platform::{KeywordId, UserId};
 use parking_lot::Mutex;
@@ -270,6 +271,15 @@ impl CacheLayer for SharedApiCache {
             self.trace_evict("connections");
         }
     }
+
+    /// Peeks the key's shard: no hit or miss is counted and the entry's
+    /// LRU position is unchanged.
+    fn holds(&self, key: FetchKey) -> bool {
+        match key {
+            FetchKey::Timeline(u) => self.shard_for(u.0 as u64).lock().timelines.contains(&u),
+            FetchKey::Connections(u) => self.shard_for(u.0 as u64).lock().connections.contains(&u),
+        }
+    }
 }
 
 fn count_lookup(counters: &EndpointCounters, hit: bool) {
@@ -318,6 +328,31 @@ mod tests {
         assert_eq!(snap.connections.insertions, 1);
         assert_eq!(snap.entries, 1);
         assert_eq!(snap.hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn holds_counts_nothing_and_refreshes_nothing() {
+        let cache = SharedApiCache::new(SharedCacheConfig {
+            capacity: 2,
+            shards: 1,
+        });
+        cache.put_connections(UserId(1), connections_entry(1));
+        cache.put_connections(UserId(2), connections_entry(1));
+        let before = cache.snapshot();
+        assert!(cache.holds(FetchKey::Connections(UserId(1))));
+        assert!(!cache.holds(FetchKey::Connections(UserId(3))));
+        assert!(!cache.holds(FetchKey::Timeline(UserId(1))));
+        let after = cache.snapshot();
+        assert_eq!(
+            (after.hits(), after.misses()),
+            (before.hits(), before.misses())
+        );
+        // The probe left user 1 least recently used: the next insert into
+        // the full shard evicts it.
+        cache.put_connections(UserId(3), connections_entry(1));
+        assert!(!cache.holds(FetchKey::Connections(UserId(1))));
+        assert!(cache.holds(FetchKey::Connections(UserId(2))));
+        assert_eq!(cache.snapshot().connections.evictions, 1);
     }
 
     #[test]

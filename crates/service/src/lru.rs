@@ -58,6 +58,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.capacity
     }
 
+    /// Whether `key` is live, without marking it used: the LRU order is
+    /// left as it was.
+    pub fn contains(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
     /// Looks up `key`, marking the entry most recently used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         let idx = *self.map.get(key)?;
